@@ -100,16 +100,15 @@ def _cmd_semilinear(args) -> int:
 
 def _cmd_solve(args) -> int:
     pta = _load_automaton(args.pta)
-    modes = ["direct", "via-poca"] if args.mode == "both" else [args.mode]
-    verdicts = {}
-    for mode in modes:
-        verdicts[mode] = decide(pta, args.max_n, mode, budget=args.budget)
+    # "both" reports the via-poca verdict after checking it per N against
+    # the direct oracle.
+    mode = "via-poca" if args.mode == "both" else args.mode
+    verdict = decide(pta, args.max_n, mode, budget=args.budget)
     if args.mode == "both":
         report = cross_check(pta, args.max_n, budget=args.budget)
         if not report.agree:
             _emit({"error": report.summary()}, args.json)
             return 2
-    verdict = verdicts[modes[-1]]
     payload = {
         "reachable": verdict.reachable,
         "param_value": verdict.param_value,
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     return parser
 
 

@@ -21,7 +21,6 @@ direct finite product branch guarded by an equality test on the parameter.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .automata import (
     ZeroOnePTA,
 )
 from .regions import Region, region_automaton, region_oca, region_satisfies
+from .semantics import reachable, shortest_path, zero_one_successors
 from .semilinear import reach_lengths
 
 PARAM = "p"
@@ -245,28 +245,17 @@ class _Emitter:
 
 
 def _region_tables(b: ZeroOnePTA):
-    """Per region: the region automaton, its epsilon closure, and AP memo."""
+    """Per region: the region automaton, its epsilon graph, and AP memo."""
     tables = {}
     for region in Region:
         b_r = region_automaton(b, region)
-        eps = {}
+        eps = {s: set() for s in b.states}
         for rule in b_r.rules0:
-            eps.setdefault(rule.src, set()).add(rule.dst)
-        closure = {}
-        for s in b.states:
-            seen = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in eps.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            closure[s] = seen
+            eps[rule.src].add(rule.dst)
         tables[region] = {
             "automaton": b_r,
             "oca": region_oca(b_r),
-            "closure": closure,
+            "eps": eps,
             "gens": {},
         }
     return tables
@@ -425,24 +414,19 @@ class _Builder:
         Returns (events per anchor key, set of modulo periods needing the
         parameter residue).
         """
-        init_key = ("Z0", 0, self.b.initial)
         events = {}
         mods = set()
-        queue = deque([init_key])
-        seen = {init_key}
-        while queue:
-            key = queue.popleft()
-            kappa, slot, u = key
-            found = self._anchor_events(kappa, slot, u)
-            events[key] = found
+
+        def successors(key):
+            events[key] = found = self._anchor_events(*key)
             for ev in found:
                 gen = ev.get("gen")
                 if gen and gen[1] >= 2 and ev.get("needs_rho"):
                     mods.add(gen[1])
-                nxt = ev.get("next")
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+                if "next" in ev:
+                    yield ev["next"]
+
+        reachable([("Z0", 0, self.b.initial)], successors)
         return events, mods
 
     def _anchor_events(self, kappa, slot, u):
@@ -456,7 +440,7 @@ class _Builder:
         return out
 
     def _point_events(self, kappa, slot, region, u):
-        closure = self.tables[region]["closure"][u]
+        closure = reachable([u], self.tables[region]["eps"].__getitem__)
         out = []
         for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
             target_region = CHAINS[kappa][nxt_slot]
@@ -649,12 +633,7 @@ class _Builder:
             return
         # resets
         style = ev["style"]
-        if style == "point":
-            ops = self._action_ops(kappa, ev["action"])
-            self._note_consts(ops)
-            self.em.chain(head, ops, anchor(ev["next"]))
-            return
-        if style == "ur":
+        if style in ("point", "ur"):
             ops = self._action_ops(kappa, ev["action"])
             self._note_consts(ops)
             self.em.chain(head, ops, anchor(ev["next"]))
@@ -901,18 +880,9 @@ def _prune(states, rules, init, acc):
         fwd_adj.setdefault(r.src, []).append(r.dst)
         bwd_adj.setdefault(r.dst, []).append(r.src)
 
-    def closure(seeds, adj):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    live = closure({init}, fwd_adj) & closure({acc}, bwd_adj)
+    live = reachable([init], lambda u: fwd_adj.get(u, ())) & reachable(
+        [acc], lambda u: bwd_adj.get(u, ())
+    )
     live.add(init)
     return live, [r for r in rules if r.src in live and r.dst in live]
 
@@ -920,7 +890,6 @@ def _prune(states, rules, init, acc):
 def _resolve_collapses(builder):
     """Expand symbolic collapse markers into pinned walk-to-2N loops."""
     em = builder.em
-    out = []
     pin_ops = [
         AddParam(-1, PARAM),
         AddParam(-1, PARAM),
@@ -931,15 +900,7 @@ def _resolve_collapses(builder):
     for rule in list(em.rules):
         if isinstance(rule.op, tuple) and rule.op and rule.op[0] == "collapse":
             step = rule.op[1]
-            hub = em.loop(rule.src, step, 1)
-            cur = hub
-            for op in pin_ops[:-1]:
-                nxt = em.fresh()
-                em.rules.append(PocaRule(cur, op, nxt))
-                cur = nxt
-            em.rules.append(PocaRule(cur, pin_ops[-1], rule.dst))
-        else:
-            out.append(rule)
+            em.chain(em.loop(rule.src, step, 1), pin_ops, rule.dst)
     return [r for r in em.rules if not isinstance(r.op, tuple)]
 
 
@@ -962,31 +923,21 @@ def _emit_small_branch(builder, init, k):
             )
         return names[key]
 
-    start = product_state(b.initial, 0, 0)
-    em.edge(entry, AddConst(0), start)
-    queue = deque([(b.initial, 0, 0)])
-    seen = {(b.initial, 0, 0)}
-    while queue:
-        bstate, vx, vy = queue.popleft()
-        src = names[(bstate, vx, vy)]
+    # Clock values saturate at cap = k + 1.  Guards read the unsaturated
+    # value, at most cap + 1, which agrees with the saturated one because
+    # the only guard constants are 0 and the parameter value k.
+    def successors(key):
+        bstate, vx, vy = key
+        src = names[key]
         if bstate in b.finals:
             em.edge(src, AddConst(0), builder.acc)
-        for i in (0, 1):
-            for ridx, rule in enumerate(b.rules(i)):
-                if rule.src != bstate:
-                    continue
-                ax, ay = min(vx + i, cap), min(vy + i, cap)
-                val = ax if rule.guard.clock == cx else ay
-                if not rule.guard.holds(val, k):
-                    continue
-                nx = 0 if cx in rule.resets else ax
-                ny = 0 if cy in rule.resets else ay
-                key = (rule.dst, nx, ny)
-                dst = product_state(*key)
-                em.edge(src, AddConst(0), dst)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
+        for _, dst, vals in zero_one_successors(b, k, (bstate, ((cx, vx), (cy, vy)))):
+            nxt = (dst, min(vals[cx], cap), min(vals[cy], cap))
+            em.edge(src, AddConst(0), product_state(*nxt))
+            yield nxt
+
+    em.edge(entry, AddConst(0), product_state(b.initial, 0, 0))
+    reachable([(b.initial, 0, 0)], successors)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,42 +1016,21 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
     def dwell(region, u, v, steps):
         """Append a region path from u to v using exactly `steps` time rules."""
         start = configs[-1]
-        assert start.state == u
-        base = start.as_dict()
-        parents = {(u, 0): None}
-        queue = deque([(u, 0)])
-        goal = (v, steps) if (v, steps) in parents else None
-        while queue and goal is None:
-            node = queue.popleft()
-            state, t = node
-            point = (base[cx] + t, base[cy] + t)
-            for i in (0, 1):
-                if t + i > steps:
-                    continue
-                offset = 0 if i == 0 else len(b.rules0)
-                for j, rule in enumerate(b.rules(i)):
-                    if rule.src != state or rule.resets:
-                        continue
-                    val = point[0] + i if rule.guard.clock == cx else point[1] + i
-                    if not rule.guard.holds(val, n):
-                        continue
-                    nxt = (rule.dst, t + i)
-                    if nxt not in parents:
-                        parents[nxt] = (node, (offset + j, i))
-                        if nxt == (v, steps):
-                            goal = nxt
-                            break
-                        queue.append(nxt)
-                if goal:
-                    break
-        if goal is None:
+        if start.state != u:
+            raise DecodeError(f"dwell starts in {start.state}, expected {u}")
+        # Reset-free steps move both clocks together, so capping the clocks
+        # at their largest start value plus `steps` caps the time steps.
+        cap = max(t for _, t in start.valuation) + steps
+        goal = (v, tuple((c, t + steps) for c, t in start.valuation))
+
+        def successors(node):
+            for label, dst, vals in zero_one_successors(b, n, node, cap, lambda r: not r.resets):
+                yield label, (dst, tuple(sorted(vals.items())))
+
+        found = shortest_path((u, start.valuation), successors, goal.__eq__)
+        if found is None:
             raise DecodeError(f"no region path {u} -> {v} with {steps} time steps")
-        path = []
-        node = goal
-        while parents[node] is not None:
-            node, label = parents[node]
-            path.append(label)
-        for label in reversed(path):
+        for label in found[1]:
             extend(*label)
 
     for pos, meta in events:

@@ -1,8 +1,10 @@
 """Ground-truth operational semantics and brute-force reachability oracles.
 
 Every reduction pass in this package is validated against the step
-functions and explicit-state searches defined here.  Searches are BFS so
-returned witnesses are shortest, which keeps golden outputs stable.
+functions and explicit-state searches defined here.  These searches, and
+those of the 0/1 product, the POCA construction and the solver's audit, run
+on one breadth-first kernel (``shortest_path``, ``reachable``), so returned
+witnesses are shortest, which keeps golden outputs stable.
 """
 
 from __future__ import annotations
@@ -143,10 +145,6 @@ def zero_one_step(
 
 def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[int]:
     """Apply one counter operation; None when an enforced test fails."""
-    return _poca_apply(op, n, z, enforce_comparisons)
-
-
-def _poca_apply(op, n: int, z: int, enforce_comparisons: bool) -> Optional[int]:
     if isinstance(op, AddConst):
         return z + op.value
     if isinstance(op, AddParam):
@@ -172,7 +170,7 @@ def poca_step(
         raise ValueError("rule does not belong to the automaton")
     if rule.src != conf.state:
         raise ValueError("rule source does not match the configuration")
-    z = _poca_apply(rule.op, n, conf.counter, enforce_comparisons=True)
+    z = apply_op(rule.op, n, conf.counter)
     return None if z is None else PocaConfiguration(rule.dst, z)
 
 
@@ -184,8 +182,60 @@ def semitransition_step(
         raise ValueError("rule does not belong to the automaton")
     if rule.src != conf.state:
         raise ValueError("rule source does not match the configuration")
-    z = _poca_apply(rule.op, n, conf.counter, enforce_comparisons=False)
+    z = apply_op(rule.op, n, conf.counter, enforce_comparisons=False)
     return None if z is None else PocaConfiguration(rule.dst, z)
+
+
+# ---------------------------------------------------------------------------
+# Search kernel
+# ---------------------------------------------------------------------------
+
+
+def shortest_path(start, successors, is_goal) -> Optional[tuple]:
+    """Breadth-first search from start for a node satisfying is_goal.
+
+    successors(node) yields (label, next node) pairs.  Each node is tested
+    when it is first reached, the start included, and the search stops at
+    the first goal without resuming the pending successor generator.
+    Returns (goal node, list of labels along a shortest path) or None.
+    """
+    if is_goal(start):
+        return start, []
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for label, nxt in successors(node):
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, label)
+            if is_goal(nxt):
+                labels = []
+                step = parents[nxt]
+                while step is not None:
+                    node, label = step
+                    labels.append(label)
+                    step = parents[node]
+                labels.reverse()
+                return nxt, labels
+            queue.append(nxt)
+    return None
+
+
+def reachable(seeds, successors) -> set:
+    """The set of nodes reachable from the distinct seeds.
+
+    successors(node) yields next nodes.  It runs exactly once per reached
+    node, in breadth-first order, so callers may emit output from it.
+    """
+    queue = deque(seeds)
+    seen = set(queue)
+    while queue:
+        for nxt in successors(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +245,17 @@ def semitransition_step(
 
 def _saturate(vals: dict, cap: int) -> tuple:
     return tuple(sorted((c, min(v, cap)) for c, v in vals.items()))
+
+
+def _replay(kind: str, start: PtaConfiguration, labels: list, step) -> Run:
+    """Replay the labels of a saturated search under exact semantics."""
+    configs = [start]
+    for label in labels:
+        conf = step(configs[-1], *label)
+        if conf is None:
+            raise RuntimeError("saturated witness failed exact replay")
+        configs.append(conf)
+    return Run(kind, tuple(configs), tuple(labels))
 
 
 def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
@@ -209,54 +270,58 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
     if clock_cap < needed:
         raise ValueError(f"clock_cap {clock_cap} below required {needed}")
 
-    clocks = sorted(pta.clocks)
-    start = tuple((c, 0) for c in clocks)
-    init = (pta.initial, start)
-    parents = {init: None}
-    queue = deque([init])
-    goal = None
-    if pta.initial in pta.finals:
-        goal = init
-    while queue and goal is None:
-        state, vals = queue.popleft()
-        base = dict(vals)
+    def successors(node):
+        state, vals = node
         for ridx, rule in enumerate(pta.rules):
             if rule.src != state:
                 continue
             for delay in range(clock_cap + 1):
-                advanced = {c: min(v + delay, clock_cap) for c, v in base.items()}
+                advanced = {c: min(v + delay, clock_cap) for c, v in vals}
                 if not rule.guard.holds(advanced[rule.guard.clock], n):
                     continue
                 for c in rule.resets:
                     advanced[c] = 0
-                nxt = (rule.dst, _saturate(advanced, clock_cap))
-                if nxt not in parents:
-                    parents[nxt] = ((state, vals), (ridx, delay))
-                    if rule.dst in pta.finals:
-                        goal = nxt
-                        break
-                    queue.append(nxt)
-            if goal is not None:
-                break
-    if goal is None:
+                yield (ridx, delay), (rule.dst, _saturate(advanced, clock_cap))
+
+    start = PtaConfiguration.make(pta.initial, {c: 0 for c in pta.clocks})
+    found = shortest_path(
+        (start.state, start.valuation), successors, lambda node: node[0] in pta.finals
+    )
+    if found is None:
         return None
+    return _replay(
+        "pta", start, found[1],
+        lambda conf, ridx, delay: pta_step(pta, n, conf, pta.rules[ridx], delay),
+    )
 
-    labels = []
-    node = goal
-    while parents[node] is not None:
-        prev, label = parents[node]
-        labels.append(label)
-        node = prev
-    labels.reverse()
 
-    # Replay the label sequence under exact (unsaturated) semantics.
-    conf = PtaConfiguration.make(pta.initial, {c: 0 for c in clocks})
-    configs = [conf]
-    for ridx, delay in labels:
-        conf = pta_step(pta, n, conf, pta.rules[ridx], delay)
-        assert conf is not None, "saturated witness failed exact replay"
-        configs.append(conf)
-    return Run("pta", tuple(configs), tuple(labels))
+def zero_one_successors(
+    b: ZeroOnePTA,
+    n: int,
+    node: tuple,
+    coord_cap: Optional[int] = None,
+    rule_filter: Optional[Callable[[PtaRule], bool]] = None,
+):
+    """Enabled 0/1-PTA steps from node = (state, sorted valuation tuple).
+
+    Yields ((index into rules0 + rules1, time bit), target state, valuation
+    dict after the step): time bit 0 first, then rule order.  Steps whose
+    rule fails rule_filter, or whose advanced clocks exceed coord_cap, are
+    skipped.
+    """
+    state, vals = node
+    for i, offset in ((0, 0), (1, len(b.rules0))):
+        for j, rule in enumerate(b.rules(i)):
+            if rule.src != state or (rule_filter is not None and not rule_filter(rule)):
+                continue
+            advanced = {c: v + i for c, v in vals}
+            if coord_cap is not None and max(advanced.values(), default=0) > coord_cap:
+                continue
+            if not rule.guard.holds(advanced[rule.guard.clock], n):
+                continue
+            for c in rule.resets:
+                advanced[c] = 0
+            yield (offset + j, i), rule.dst, advanced
 
 
 def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional[Run]:
@@ -266,52 +331,23 @@ def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional
     if clock_cap < needed:
         raise ValueError(f"clock_cap {clock_cap} below required {needed}")
 
-    clocks = sorted(b.clocks)
-    all_rules = b.rules0 + b.rules1
-    init = (b.initial, tuple((c, 0) for c in clocks))
-    parents = {init: None}
-    queue = deque([init])
-    goal = init if b.initial in b.finals else None
-    while queue and goal is None:
-        state, vals = queue.popleft()
-        base = dict(vals)
-        for i in (0, 1):
-            offset = 0 if i == 0 else len(b.rules0)
-            for j, rule in enumerate(b.rules(i)):
-                if rule.src != state:
-                    continue
-                advanced = {c: min(v + i, clock_cap) for c, v in base.items()}
-                if not rule.guard.holds(advanced[rule.guard.clock], n):
-                    continue
-                for c in rule.resets:
-                    advanced[c] = 0
-                nxt = (rule.dst, tuple(sorted(advanced.items())))
-                if nxt not in parents:
-                    parents[nxt] = ((state, vals), (offset + j, i))
-                    if rule.dst in b.finals:
-                        goal = nxt
-                        break
-                    queue.append(nxt)
-            if goal is not None:
-                break
-    if goal is None:
+    # Guards read the unsaturated value, at most clock_cap + 1: no guard
+    # constant reaches clock_cap, so that agrees with the saturated one.
+    def successors(node):
+        for label, dst, vals in zero_one_successors(b, n, node):
+            yield label, (dst, _saturate(vals, clock_cap))
+
+    start = PtaConfiguration.make(b.initial, {c: 0 for c in b.clocks})
+    found = shortest_path(
+        (start.state, start.valuation), successors, lambda node: node[0] in b.finals
+    )
+    if found is None:
         return None
-
-    labels = []
-    node = goal
-    while parents[node] is not None:
-        prev, label = parents[node]
-        labels.append(label)
-        node = prev
-    labels.reverse()
-
-    conf = PtaConfiguration.make(b.initial, {c: 0 for c in clocks})
-    configs = [conf]
-    for ridx, i in labels:
-        conf = zero_one_step(b, n, conf, all_rules[ridx], i)
-        assert conf is not None, "saturated witness failed exact replay"
-        configs.append(conf)
-    return Run("zero-one-pta", tuple(configs), tuple(labels))
+    all_rules = b.rules0 + b.rules1
+    return _replay(
+        "zero-one-pta", start, found[1],
+        lambda conf, ridx, i: zero_one_step(b, n, conf, all_rules[ridx], i),
+    )
 
 
 def zero_one_reach_configs(
@@ -330,31 +366,13 @@ def zero_one_reach_configs(
     """
     if valuation_pred is not None and not valuation_pred(start.as_dict()):
         return set()
-    seen = {(start.state, start.valuation)}
-    queue = deque(seen)
-    while queue:
-        state, vals = queue.popleft()
-        base = dict(vals)
-        for i in (0, 1):
-            for rule in b.rules(i):
-                if rule.src != state:
-                    continue
-                if rule_filter is not None and not rule_filter(rule):
-                    continue
-                advanced = {c: v + i for c, v in base.items()}
-                if max(advanced.values(), default=0) > coord_cap:
-                    continue
-                if not rule.guard.holds(advanced[rule.guard.clock], n):
-                    continue
-                for c in rule.resets:
-                    advanced[c] = 0
-                if valuation_pred is not None and not valuation_pred(advanced):
-                    continue
-                nxt = (rule.dst, tuple(sorted(advanced.items())))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return seen
+
+    def successors(node):
+        for _, dst, vals in zero_one_successors(b, n, node, coord_cap, rule_filter):
+            if valuation_pred is None or valuation_pred(vals):
+                yield dst, tuple(sorted(vals.items()))
+
+    return reachable([(start.state, start.valuation)], successors)
 
 
 def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
@@ -370,38 +388,21 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
     for idx, rule in enumerate(poca.rules):
         by_src.setdefault(rule.src, []).append((idx, rule))
 
-    init = (poca.initial, 0)
-    parents = {init: None}
-    queue = deque([init])
-    goal = init if poca.initial in poca.finals else None
-    while queue and goal is None:
-        state, z = queue.popleft()
+    def successors(node):
+        state, z = node
         for idx, rule in by_src.get(state, ()):
-            z2 = _poca_apply(rule.op, n, z, enforce_comparisons=True)
-            if z2 is None or not lo <= z2 <= hi:
-                continue
-            nxt = (rule.dst, z2)
-            if nxt not in parents:
-                parents[nxt] = ((state, z), idx)
-                if rule.dst in poca.finals:
-                    goal = nxt
-                    break
-                queue.append(nxt)
-    if goal is None:
-        return None
+            z2 = apply_op(rule.op, n, z)
+            if z2 is not None and lo <= z2 <= hi:
+                yield idx, (rule.dst, z2)
 
-    labels = []
-    node = goal
-    while parents[node] is not None:
-        prev, label = parents[node]
-        labels.append(label)
-        node = prev
-    labels.reverse()
+    found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
+    if found is None:
+        return None
+    labels = found[1]
     configs = [PocaConfiguration(poca.initial, 0)]
     for idx in labels:
-        configs.append(
-            PocaConfiguration(poca.rules[idx].dst, _poca_apply(poca.rules[idx].op, n, configs[-1].counter, True))
-        )
+        rule = poca.rules[idx]
+        configs.append(PocaConfiguration(rule.dst, apply_op(rule.op, n, configs[-1].counter)))
     return Run("poca", tuple(configs), tuple(labels))
 
 

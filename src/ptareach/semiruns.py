@@ -21,7 +21,7 @@ class SemirunError(ValueError):
 
 
 class DepumpError(RuntimeError):
-    """Depumping could not find enough glue windows.
+    """Depumping could not find enough glue windows, or its bookkeeping broke.
 
     With formula-exact constants this indicates a bug; with test overrides it
     signals that the injected constants are inconsistent with the input.
@@ -232,9 +232,10 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     ]
     # pot bookkeeping from the constructive proof: unit steps, endpoints tied
     # to Delta (lambda vanishes at both ends since the word is balanced).
-    for i in range(1, len(pot)):
-        assert abs(pot[i] - pot[i - 1]) <= 1, "potential must move by unit steps"
-    assert pot[0] == 0 and pot[-1] == sign * delta
+    if any(abs(pot[i] - pot[i - 1]) > 1 for i in range(1, len(pot))):
+        raise DepumpError("potential must move by unit steps")
+    if pot[0] != 0 or pot[-1] != sign * delta:
+        raise DepumpError("potential endpoints must be 0 and |Delta|")
 
     windows = []
     start = 0
@@ -284,9 +285,11 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
         )
 
     for s, t in chosen:
-        assert in_lambda(word[_bracket_prefix(semirun, s) : _bracket_prefix(semirun, t)], 16)
+        if not in_lambda(word[_bracket_prefix(semirun, s) : _bracket_prefix(semirun, t)], 16):
+            raise DepumpError(f"glue window ({s},{t}) has a bracket projection outside Lambda_16")
     out = multi_glue(semirun, chosen, z_const)
-    assert out.delta() == delta - sign * consts.gamma
+    if out.delta() != delta - sign * consts.gamma:
+        raise DepumpError("gluing did not reduce |Delta| by exactly Gamma")
     return out, chosen
 
 

@@ -1,8 +1,9 @@
 """JSON interchange for automata and witness runs.
 
 Canonical form: object keys in the order written below, states/clocks/params
-sorted, rules sorted by their natural ordering.  The parser rejects unknown
-comparison symbols and unknown operation kinds.
+sorted, rules in the automaton's own tuple order (rules0 before rules1 for
+0/1-PTAs), so the rule indices in witness labels survive a round trip.  The
+parser rejects unknown comparison symbols and unknown operation kinds.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ def _pta_rule_obj(rule: PtaRule, time=None) -> dict:
     return obj
 
 
-def _pta_rule_key(rule: PtaRule) -> tuple:
-    g = rule.guard
-    return (rule.src, g.clock, g.cmp, str(g.rhs), sorted(rule.resets), rule.dst)
-
-
 def automaton_to_obj(a: Automaton) -> dict:
     if isinstance(a, PTA):
         return {
@@ -95,13 +91,13 @@ def automaton_to_obj(a: Automaton) -> dict:
             "states": sorted(a.states),
             "clocks": sorted(a.clocks),
             "params": sorted(a.params),
-            "rules": [_pta_rule_obj(r) for r in sorted(a.rules, key=_pta_rule_key)],
+            "rules": [_pta_rule_obj(r) for r in a.rules],
             "initial": a.initial,
             "finals": sorted(a.finals),
         }
     if isinstance(a, ZeroOnePTA):
-        rules = [_pta_rule_obj(r, 0) for r in sorted(a.rules0, key=_pta_rule_key)]
-        rules += [_pta_rule_obj(r, 1) for r in sorted(a.rules1, key=_pta_rule_key)]
+        rules = [_pta_rule_obj(r, 0) for r in a.rules0]
+        rules += [_pta_rule_obj(r, 1) for r in a.rules1]
         return {
             "kind": "zero-one-pta",
             "states": sorted(a.states),
@@ -116,10 +112,7 @@ def automaton_to_obj(a: Automaton) -> dict:
             "kind": "poca",
             "states": sorted(a.states),
             "params": sorted(a.params),
-            "rules": [
-                {"from": r.src, "op": op_to_obj(r.op), "to": r.dst}
-                for r in sorted(a.rules, key=lambda r: (r.src, str(r.op), r.dst))
-            ],
+            "rules": [{"from": r.src, "op": op_to_obj(r.op), "to": r.dst} for r in a.rules],
             "initial": a.initial,
             "finals": sorted(a.finals),
         }

@@ -10,7 +10,6 @@ the verdict is explicitly BOUNDED.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .semantics import (
     apply_op,
     poca_reach_bounded,
     pta_reach_bruteforce,
+    shortest_path,
     validate_run,
 )
 from .zero_one import product_origin, to_zero_one_pta
@@ -187,19 +187,15 @@ def find_bound_violation(poca, n: int, bound: int, slack: int) -> Optional[tuple
     for rule in poca.rules:
         by_src.setdefault(rule.src, []).append(rule)
     lo, hi = -slack, bound + slack
-    start = (poca.initial, 0, False)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, z, flagged = queue.popleft()
-        if state in poca.finals and flagged:
-            return (state, z)
+
+    def successors(node):
+        state, z, flagged = node
         for rule in by_src.get(state, ()):
             z2 = apply_op(rule.op, n, z)
-            if z2 is None or not lo <= z2 <= hi:
-                continue
-            nxt = (rule.dst, z2, flagged or not 0 <= z2 <= bound)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return None
+            if z2 is not None and lo <= z2 <= hi:
+                yield None, (rule.dst, z2, flagged or not 0 <= z2 <= bound)
+
+    found = shortest_path(
+        (poca.initial, 0, False), successors, lambda node: node[2] and node[0] in poca.finals
+    )
+    return None if found is None else found[0][:2]

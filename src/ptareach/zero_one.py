@@ -9,9 +9,8 @@ parametric clocks of the input.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automata import PTA, Guard, PtaRule, ZeroOnePTA
+from .semantics import reachable
 
 
 def _product_name(state: str, stored: tuple) -> str:
@@ -45,33 +44,17 @@ def to_zero_one_pta(pta: PTA) -> ZeroOnePTA:
     cap = c_max + 1
     all_clocks = sorted(pta.clocks)
 
-    start = tuple((c, 0) for c in all_clocks)
-    init_key = (pta.initial, start)
-    names = {init_key: _product_name(*init_key)}
-    queue = deque([init_key])
     rules0, rules1 = [], []
-    finals = set()
 
-    while queue:
-        key = queue.popleft()
+    def successors(key):
         state, stored = key
-        name = names[key]
-        if state in pta.finals:
-            finals.add(name)
-        base = dict(stored)
-
-        def visit(nxt_key):
-            if nxt_key not in names:
-                names[nxt_key] = _product_name(*nxt_key)
-                queue.append(nxt_key)
-            return names[nxt_key]
-
+        name = _product_name(*key)
         # Time elapse: advance every stored value, saturating at c_max + 1.
-        advanced = tuple(sorted((c, min(v + 1, cap)) for c, v in base.items()))
-        rules1.append(
-            PtaRule(name, empty_guard, frozenset(), visit((state, advanced)))
-        )
+        advanced = (state, tuple((c, min(v + 1, cap)) for c, v in stored))
+        rules1.append(PtaRule(name, empty_guard, frozenset(), _product_name(*advanced)))
+        yield advanced
 
+        base = dict(stored)
         for rule in pta.rules:
             if rule.src != state:
                 continue
@@ -81,18 +64,20 @@ def to_zero_one_pta(pta: PTA) -> ZeroOnePTA:
             nxt_key = (rule.dst, tuple(sorted(after_reset.items())))
             kept_resets = frozenset(rule.resets & set(param_clocks))
             if rule.guard.parametric:
-                rules0.append(
-                    PtaRule(name, rule.guard, kept_resets, visit(nxt_key))
-                )
-            else:
+                guard = rule.guard
+            elif rule.guard.holds(base[rule.guard.clock], 0):
                 # Saturated comparison is exact: stored cap means "> c_max".
-                if rule.guard.holds(base[rule.guard.clock], 0):
-                    rules0.append(
-                        PtaRule(name, empty_guard, kept_resets, visit(nxt_key))
-                    )
+                guard = empty_guard
+            else:
+                continue
+            rules0.append(PtaRule(name, guard, kept_resets, _product_name(*nxt_key)))
+            yield nxt_key
 
+    init_key = (pta.initial, tuple((c, 0) for c in all_clocks))
+    names = {key: _product_name(*key) for key in reachable([init_key], successors)}
     bound = len(pta.states) * (c_max + 2) ** len(pta.clocks)
-    assert len(names) <= bound, "product exceeded its worst-case state bound"
+    if len(names) > bound:
+        raise RuntimeError("product exceeded its worst-case state bound")
 
     return ZeroOnePTA(
         states=frozenset(names.values()),
@@ -101,5 +86,5 @@ def to_zero_one_pta(pta: PTA) -> ZeroOnePTA:
         rules0=tuple(rules0),
         rules1=tuple(rules1),
         initial=names[init_key],
-        finals=frozenset(finals),
+        finals=frozenset(name for (state, _), name in names.items() if state in pta.finals),
     )

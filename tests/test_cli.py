@@ -178,3 +178,26 @@ def test_unknown_comparison_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main(["parse", "--input", str(path)]) == 2
+
+
+def test_solve_both_derives_constants_once(fixture_dir, capsys, monkeypatch):
+    from ptareach import solver
+
+    path = str(fixture_dir / "even.json")
+    assert main(["solve", "--pta", path, "--max-n", "6", "--mode", "via-poca", "--json"]) == 0
+    via = json.loads(capsys.readouterr().out)
+
+    calls = []
+    original = solver.derive_constants
+
+    def counting(poca):
+        calls.append(poca)
+        return original(poca)
+
+    monkeypatch.setattr(solver, "derive_constants", counting)
+    assert main(["solve", "--pta", path, "--max-n", "6", "--mode", "both", "--json"]) == 0
+    both = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    # "both" reports the via-poca verdict, as it always has.
+    assert both == {**via, "mode": "both"}
+    assert both["reachable"] and both["param_value"] == 0

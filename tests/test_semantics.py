@@ -24,7 +24,9 @@ from ptareach.semantics import (
     poca_step,
     pta_reach_bruteforce,
     pta_step,
+    reachable,
     semitransition_step,
+    shortest_path,
     validate_run,
 )
 
@@ -279,3 +281,39 @@ def test_run_accessors():
     sub = run.subrun(1, 2)
     assert sub.configs == configs[1:3]
     assert run.subrun(0, 1).concat(run.subrun(1, 3)).configs == configs
+
+
+class TestSearchKernel:
+    @staticmethod
+    def _grid(expanded):
+        # Nodes 0..9; each node steps by +1 or +3, labelled by the step.
+        def successors(node):
+            expanded.append(node)
+            for step in (1, 3):
+                if node + step < 10:
+                    yield step, node + step
+        return successors
+
+    def test_shortest_path_labels_and_goal(self):
+        assert shortest_path(0, self._grid([]), lambda v: v == 7) == (7, [1, 3, 3])
+
+    def test_start_is_tested_first(self):
+        expanded = []
+        assert shortest_path(4, self._grid(expanded), lambda v: v >= 4) == (4, [])
+        assert expanded == []
+
+    def test_stops_at_first_goal_reached(self):
+        expanded = []
+        found = shortest_path(0, self._grid(expanded), lambda v: v % 2 == 1)
+        # 1 is reached before 3 from node 0; nothing further is expanded.
+        assert found == (1, [1])
+        assert expanded == [0]
+
+    def test_unreachable_goal(self):
+        assert shortest_path(0, self._grid([]), lambda v: v > 9) is None
+
+    def test_reachable_expands_each_node_once_in_bfs_order(self):
+        expanded = []
+        reached = reachable([0], lambda v: (nxt for _, nxt in self._grid(expanded)(v)))
+        assert reached == set(range(10))
+        assert expanded == [0, 1, 3, 2, 4, 6, 5, 7, 9, 8]

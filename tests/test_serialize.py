@@ -12,7 +12,9 @@ from ptareach.fixtures import (
     random_two_one_pta,
     random_unary_oca,
 )
-from ptareach.semantics import poca_reach_bounded, pta_reach_bruteforce
+from ptareach.poca_build import build_poca
+from ptareach.semantics import poca_reach_bounded, pta_reach_bruteforce, validate_run
+from ptareach.solver import decide
 from ptareach.zero_one import to_zero_one_pta
 
 
@@ -104,3 +106,27 @@ def test_run_round_trips():
     assert run is not None
     again = serialize.run_from_obj(json.loads(json.dumps(serialize.run_to_obj(run))))
     assert again == run
+
+
+def _json_round_trip(run):
+    return serialize.run_from_obj(json.loads(json.dumps(serialize.run_to_obj(run))))
+
+
+def test_decide_witnesses_replay_against_canonical_json():
+    # Run labels are rule indices, so they must survive dumps/loads.
+    replayed = 0
+    for fx in fixture_corpus():
+        if not fx.in_corpus:
+            continue
+        verdict = decide(fx.pta, 8)
+        if not verdict.reachable:
+            continue
+        n = verdict.param_value
+        pta = serialize.loads(serialize.dumps(fx.pta))
+        assert pta == fx.pta
+        assert validate_run(_json_round_trip(verdict.decoded_pta_run), pta, n) == (True, None), fx.name
+        poca = build_poca(to_zero_one_pta(fx.pta)).poca
+        again = serialize.loads(serialize.dumps(poca))
+        assert validate_run(_json_round_trip(verdict.witness), again, n) == (True, None), fx.name
+        replayed += 1
+    assert replayed >= 8
