@@ -34,6 +34,22 @@ def _load_automaton(path: str):
     return serialize.loads(Path(path).read_text())
 
 
+def _dec(n: int) -> str:
+    """Decimal digits of n, also beyond the interpreter's int-to-str limit.
+
+    The exact threshold and derived constants run to hundreds of thousands
+    of digits; the limit is lifted for this conversion only.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, default=str))
@@ -115,7 +131,7 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "max_n": args.max_n,
         "completeness": verdict.completeness,
-        "threshold": str(verdict.threshold),
+        "threshold": _dec(verdict.threshold),
     }
     _emit(payload, args.json)
     if args.emit_witness and verdict.witness is not None:
@@ -210,7 +226,7 @@ def _cmd_constants(args) -> int:
     poca = _load_automaton(args.poca)
     dc = derive_constants(poca)
     _emit(
-        {"Z": str(dc.z), "Gamma": str(dc.gamma), "Upsilon": str(dc.upsilon), "M": str(dc.m)},
+        {"Z": _dec(dc.z), "Gamma": _dec(dc.gamma), "Upsilon": _dec(dc.upsilon), "M": _dec(dc.m)},
         args.json,
     )
     return 0

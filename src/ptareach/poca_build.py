@@ -36,7 +36,7 @@ from .automata import (
 )
 from .regions import Region, region_automaton, region_oca, region_satisfies
 from .semantics import reachable, shortest_path, zero_one_successors
-from .semilinear import reach_lengths
+from .semilinear import letter_graph, reach_lengths
 
 PARAM = "p"
 SMALL_LIMIT = 2  # parameter values below this take the finite product branch
@@ -245,7 +245,11 @@ class _Emitter:
 
 
 def _region_tables(b: ZeroOnePTA):
-    """Per region: the region automaton, its epsilon graph, and AP memo."""
+    """Per region: the region automaton, its epsilon graph, and AP memo.
+
+    The OCA's letter graph is built on the region's first AP-memo miss and
+    shared by every later ``reach_lengths`` call on that region.
+    """
     tables = {}
     for region in Region:
         b_r = region_automaton(b, region)
@@ -257,15 +261,19 @@ def _region_tables(b: ZeroOnePTA):
             "oca": region_oca(b_r),
             "eps": eps,
             "gens": {},
+            "letters": None,
         }
     return tables
 
 
 def _gens(tables, region, u, v) -> tuple:
-    memo = tables[region]["gens"]
+    table = tables[region]
+    memo = table["gens"]
     key = (u, v)
     if key not in memo:
-        memo[key] = reach_lengths(tables[region]["oca"], u, v).pairs
+        if table["letters"] is None:
+            table["letters"] = letter_graph(table["oca"])
+        memo[key] = reach_lengths(table["oca"], u, v, table["letters"]).pairs
     return memo[key]
 
 

@@ -53,26 +53,30 @@ class APSet:
         return tuple(sorted({b for _, b in self.pairs if b >= 1}))
 
 
-def _subsumed(pair, other) -> bool:
-    a, b = pair
-    a2, b2 = other
-    if pair == other:
-        return False
-    if b2 < 1:
-        return False
-    if b != 0 and b % b2 != 0:
-        return False
-    return a >= a2 and (a - a2) % b2 == 0
-
-
 def _normalize(pairs) -> tuple:
+    """Sorted distinct pairs, minus those whose set another pair contains.
+
+    (a, b) lies inside (a2, b2) with b2 >= 1 iff b2 divides b (or b = 0),
+    a2 <= a and a2 = a (mod b2), so each pair is compared only with the
+    least offset of each period at its residue.
+    """
     todo = sorted(set(pairs))
-    kept = []
-    for pair in todo:
-        if any(_subsumed(pair, other) for other in todo if other != pair):
+    least = {}
+    for a, b in todo:
+        if b >= 1:
+            least.setdefault(b, {}).setdefault(a % b, a)
+    return tuple(pair for pair in todo if not _covered(pair, least))
+
+
+def _covered(pair, least) -> bool:
+    a, b = pair
+    for b2, by_residue in least.items():
+        if b != 0 and b % b2 != 0:
             continue
-        kept.append(pair)
-    return tuple(kept)
+        a2 = by_residue.get(a % b2)
+        if a2 is not None and a2 <= a and (a2, b2) != pair:
+            return True
+    return False
 
 
 def apset_member(s: APSet, t: int) -> bool:
@@ -96,7 +100,7 @@ def apset_contains_zero(s: APSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _letter_graph(oca: POCA):
+def letter_graph(oca: POCA):
     """Left-epsilon-closed letter edges plus epsilon ancestry per state.
 
     Returns (succ, eps_reach) where succ[s] is the set of states reachable
@@ -199,18 +203,20 @@ def _min_weight_per_residue(edges, start_set, modulus, node_set):
     return dist
 
 
-def reach_lengths(oca: POCA, source: str, target: str) -> APSet:
+def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     """The set {n : source(0) reaches target(n)} as a normalized APSet.
 
     The input must have +0/+1 updates only (no tests, no parameters).
     Enforced caps relative to n = |Q|: offsets <= 2n^2, periods <= n, and at
-    most 4n^2 progressions; exceeding them raises CapViolation.
+    most 4n^2 progressions; exceeding them raises CapViolation.  ``graph`` is
+    ``letter_graph(oca)``, for callers asking about many pairs of one
+    automaton; it is computed here when omitted.
     """
     if oca.params:
         raise ValueError("reach_lengths expects a parameter-free automaton")
     if source not in oca.states or target not in oca.states:
         raise ValueError("source/target must be declared states")
-    succ, eps_reach = _letter_graph(oca)
+    succ, eps_reach = graph if graph is not None else letter_graph(oca)
     n = len(oca.states)
 
     accept = {s for s in oca.states if target in eps_reach[s]}

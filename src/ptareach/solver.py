@@ -10,6 +10,7 @@ the verdict is explicitly BOUNDED.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,16 +104,12 @@ def decide(pta: PTA, n_max: int, mode: str = "via-poca", budget: int = 200_000) 
     return Verdict(False, None, mode, n_max, qual, threshold)
 
 
-_BUILD_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _build(pta: PTA, budget: int) -> BuildResult:
-    key = (pta, budget)
-    if key not in _BUILD_CACHE:
-        if len(_BUILD_CACHE) > 64:
-            _BUILD_CACHE.clear()
-        _BUILD_CACHE[key] = build_poca(to_zero_one_pta(pta), budget)
-    return _BUILD_CACHE[key]
+    # One entry serves the only repeat caller, ``solve --mode both``
+    # (decide, then cross_check on the same automaton); more would keep
+    # every large POCA of a batch alive.
+    return build_poca(to_zero_one_pta(pta), budget)
 
 
 def cross_check(pta: PTA, n_max: int, budget: int = 200_000) -> CrossCheckReport:

@@ -52,6 +52,23 @@ def test_lcm_range():
         lcm_range(0)
 
 
+def test_lcm_range_equals_fold():
+    # The running fold math.lcm(1, ..., j) is the defining formula.
+    expected = 1
+    for j in range(1, 3001):
+        expected = math.lcm(expected, j)
+        assert lcm_range(j) == expected, j
+    assert lcm_range(17 * 709) == math.lcm(*range(1, 17 * 709 + 1))
+
+
+def test_lcm_range_prime_power_boundaries():
+    # Only a prime power p^e multiplies lcm(1..j) as j steps onto it, by p.
+    for j, p in ((2**11, 2), (3**7, 3), (5**4, 5), (2003, 2003), (2999, 2999)):
+        assert lcm_range(j) == p * lcm_range(j - 1), j
+    for j in (2**11 - 1, 2**11 + 1, 3**7 + 1, 2000):
+        assert lcm_range(j) == lcm_range(j - 1), j
+
+
 @given(st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=6))
 def test_lcm_set_bounded_by_max_power(values):
     assert lcm_set(values) <= max(values) ** len(values)

@@ -201,3 +201,68 @@ def test_solve_both_derives_constants_once(fixture_dir, capsys, monkeypatch):
     # "both" reports the via-poca verdict, as it always has.
     assert both == {**via, "mode": "both"}
     assert both["reachable"] and both["param_value"] == 0
+
+
+@pytest.fixture(scope="module")
+def r8_path(tmp_path_factory):
+    """Acceptance entry r8: 1,384 POCA states, a threshold of about 10^4 digits."""
+    import random
+
+    from ptareach.fixtures import random_two_one_pta
+
+    rng = random.Random(20260809)
+    pta = [random_two_one_pta(rng, max_states=3) for _ in range(9)][8]
+    path = tmp_path_factory.mktemp("r8") / "r8.json"
+    path.write_text(serialize.dumps(pta) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("mode", ["both", "direct"])
+def test_solve_prints_thresholds_beyond_int_str_limit(r8_path, capsys, mode):
+    code = main(["solve", "--pta", str(r8_path), "--max-n", "8", "--mode", mode, "--json"])
+    assert code in (0, 1)
+    threshold = json.loads(capsys.readouterr().out)["threshold"]
+    assert threshold.isdigit() and len(threshold) > 4300
+
+
+def test_constants_prints_values_beyond_int_str_limit(r8_path, tmp_path, capsys):
+    import sys
+
+    poca = tmp_path / "poca.json"
+    assert main(["reduce", "--stage", "poca", "--pta", str(r8_path), "--out", str(poca)]) == 0
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    assert main(["constants", "--poca", str(poca), "--json"]) == 0
+    assert get_limit() == limit  # lifted for the conversion only
+    payload = json.loads(capsys.readouterr().out)
+    assert all(payload[key].isdigit() for key in ("Z", "Gamma", "Upsilon", "M"))
+    assert len(payload["M"]) > 4300
+
+
+def test_solve_both_builds_once(fixture_dir, capsys, monkeypatch):
+    from ptareach import solver
+
+    solver._build.cache_clear()
+    calls = []
+    original = solver.build_poca
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_poca", counting)
+    path = str(fixture_dir / "even.json")
+    assert main(["solve", "--pta", path, "--max-n", "6", "--mode", "both", "--json"]) == 0
+    assert len(calls) == 1
+
+
+def test_build_cache_holds_one_entry():
+    from ptareach import solver
+    from ptareach.fixtures import fixture_corpus
+
+    ptas = [fx.pta for fx in fixture_corpus()[:3]]
+    assert len(set(ptas)) == 3
+    solver._build.cache_clear()
+    for pta in ptas:
+        solver.decide(pta, 2)
+    assert solver._build.cache_info().currsize == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ptareach.automata import POCA, AddConst, AddParam, PocaRule
 from ptareach.semilinear import (
     APSet,
+    _normalize,
     apset_contains_zero,
     apset_member,
     reach_lengths,
@@ -52,6 +53,38 @@ def _bfs_lengths(oca, source, target, t_max):
     return hits
 
 
+def _normalize_all_pairs(pairs) -> tuple:
+    """Reference normal form: drop each pair whose set another pair contains,
+    testing every pair against every other one."""
+
+    def subsumed(pair, other):
+        (a, b), (a2, b2) = pair, other
+        if pair == other or b2 < 1:
+            return False
+        if b != 0 and b % b2 != 0:
+            return False
+        return a >= a2 and (a - a2) % b2 == 0
+
+    todo = sorted(set(pairs))
+    return tuple(p for p in todo if not any(subsumed(p, o) for o in todo if o != p))
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pairs with offsets < 60 and periods 0..12, plus duplicates, singletons
+    inside a drawn progression and equal-period chains a, a + b, a + 2b."""
+    pair = st.tuples(st.integers(0, 59), st.integers(0, 12))
+    pairs = draw(st.lists(pair, max_size=12))
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else ():
+        k = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(("duplicate", "singleton", "chain")))
+        if kind == "duplicate":
+            pairs.append((a, b))
+        elif a + k * b < 60:
+            pairs.append((a + k * b, 0 if kind == "singleton" else b))
+    return draw(st.permutations(pairs))
+
+
 class TestApsetMembership:
     def test_progression(self):
         s = APSet.from_pairs([(1, 3)])
@@ -82,6 +115,10 @@ class TestApsetMembership:
         raw = APSet(tuple(pairs))
         normalized = APSet.from_pairs(pairs)
         assert apset_member(raw, t) == apset_member(normalized, t)
+
+    @given(_pair_lists())
+    def test_normalization_matches_all_pairs_reference(self, pairs):
+        assert _normalize(pairs) == _normalize_all_pairs(pairs)
 
 
 class TestReachLengths:
