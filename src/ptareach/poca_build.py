@@ -277,124 +277,192 @@ def _gens(tables, region, u, v) -> tuple:
     return memo[key]
 
 
-def _cell_nonempty(tables, region, u, v) -> bool:
-    return bool(_gens(tables, region, u, v))
-
-
 # ---------------------------------------------------------------------------
 # Gadget op-lists (all relative to the shifted counter c = z + 2N)
 # ---------------------------------------------------------------------------
 
+_MINUS_N, _PLUS_N = AddParam(-1, PARAM), AddParam(1, PARAM)
 
-def _mod_n_residue_ops(b_period: int, rho: int):
-    """Test 'current value == N (mod b)' given rho = N mod b."""
-    lift = (b_period - rho) % b_period
-    return _plus(lift) + [ModTest(b_period)] + _minus(lift)
+
+def _undo(ops):
+    """The updates that walk the counter back through ops."""
+    return [
+        AddConst(-op.value) if isinstance(op, AddConst) else AddParam(-op.sign, op.param)
+        for op in reversed(ops)
+    ]
+
+
+def _restore(there, tests):
+    """Move the counter by `there`, run the tests, and move it back."""
+    return there + tests + _undo(there)
+
+
+# Restoring tests on the difference z, per condition: (moves, test).  With
+# c = z + 2N, "z<=N-2" lifts by 2 and descends by 2N to test z + 2 <= N.
+# Beside the crossing conditions of CROSSINGS: the lock checks "z<=N-1" and
+# "z>=1-N" and the collapse pin "z=0".
+ZCONDS = {
+    "z<=N-2": (_plus(2) + [_MINUS_N] * 2, CmpParam("<=", PARAM)),
+    "z<=N-1": (_plus(1) + [_MINUS_N] * 2, CmpParam("<=", PARAM)),
+    "z=N-1": (_plus(1) + [_MINUS_N] * 2, CmpParam("=", PARAM)),
+    "z>=2": ([_MINUS_N] * 2, CmpConst(">=", 2)),
+    "z=1": ([_MINUS_N] * 2, CmpConst("=", 1)),
+    "z=0": ([_MINUS_N] * 2, CmpConst("=", 0)),
+    "z>=2-N": ([_MINUS_N], CmpConst(">=", 2)),
+    "z>=1-N": ([_MINUS_N], CmpConst(">=", 1)),
+    "z=1-N": ([_MINUS_N], CmpConst("=", 1)),
+    "z<=-2": (_plus(2) + [_MINUS_N], CmpParam("<=", PARAM)),
+    "z=-1": (_plus(1) + [_MINUS_N], CmpParam("=", PARAM)),
+}
 
 
 def _zcond_ops(cond: str):
-    le, ge, eqp, eqc = CmpParam("<=", PARAM), CmpConst(">=", 2), CmpParam("=", PARAM), None
-    if cond == "z<=N-2":
-        return _plus(2) + [AddParam(-1, PARAM), AddParam(-1, PARAM), le, AddParam(1, PARAM), AddParam(1, PARAM)] + _minus(2)
-    if cond == "z=N-1":
-        return _plus(1) + [AddParam(-1, PARAM), AddParam(-1, PARAM), eqp, AddParam(1, PARAM), AddParam(1, PARAM)] + _minus(1)
-    if cond == "z>=2":
-        return [AddParam(-1, PARAM), AddParam(-1, PARAM), ge, AddParam(1, PARAM), AddParam(1, PARAM)]
-    if cond == "z=1":
-        return [AddParam(-1, PARAM), AddParam(-1, PARAM), CmpConst("=", 1), AddParam(1, PARAM), AddParam(1, PARAM)]
-    if cond == "z>=2-N":
-        return [AddParam(-1, PARAM), ge, AddParam(1, PARAM)]
-    if cond == "z=1-N":
-        return [AddParam(-1, PARAM), CmpConst("=", 1), AddParam(1, PARAM)]
-    if cond == "z<=-2":
-        return _plus(2) + [AddParam(-1, PARAM), le, AddParam(1, PARAM)] + _minus(2)
-    if cond == "z=-1":
-        return _plus(1) + [AddParam(-1, PARAM), eqp, AddParam(1, PARAM)] + _minus(1)
-    raise ValueError(f"unknown crossing condition {cond!r}")
+    there, test = ZCONDS[cond]
+    return _restore(there, [test])
+
+
+def _residue_ops(b_period: int, rho: int):
+    """Restoring test that the counter is rho modulo b_period."""
+    return _restore(_plus((b_period - rho) % b_period), [ModTest(b_period)])
+
+
+def _bound_test(bound: str, cmp: str, b_period: int, rho_of: dict):
+    """The counter equals the bound ("N" or "0") for period 0; otherwise it
+    compares `cmp` with the bound and agrees with it modulo the period."""
+    cmp = "=" if b_period == 0 else cmp
+    tests = [CmpParam(cmp, PARAM) if bound == "N" else CmpConst(cmp, 0)]
+    if b_period >= 2:
+        tests += _residue_ops(b_period, rho_of[b_period] if bound == "N" else 0)
+    return tests
+
+
+# Open-cell cases other than UR: (bound the checked value meets, "N" or "0";
+# parameter descents; extra dwell).  After the descents the counter holds
+# w = z + (2 - descents) * N, and a full crossing dwells
+# (N - w or w) - 2 - extra time units.
+CASES = {
+    "LL_MAIN": ("N", 2, 0),
+    "LL_MIRROR": ("0", 1, 0),
+    "LR_LEFT": ("0", 2, 0),
+    "LR_ZN": ("0", 2, 0),
+    "LR_ZN1": ("0", 2, 1),
+    "UL_TOP": ("N", 1, 0),
+    "UL_ZN": ("N", 1, 0),
+    "UL_ZN1": ("N", 1, 1),
+}
 
 
 def _traverse_ops(case: str, gen: tuple, rho_of: dict):
     """Restoring check that the forced full-cell dwell lies in the progression."""
     a, b_period = gen
-    p_minus = [AddParam(-1, PARAM)]
-    p_plus = [AddParam(1, PARAM)]
-    if case == "LL_MAIN":
-        # value z+2+a after two descents: needs = N (b=0) or <= N and == N mod b
-        head = _plus(a + 2) + p_minus + p_minus
-        tail = p_plus + p_plus + _minus(a + 2)
-        if b_period == 0:
-            return head + [CmpParam("=", PARAM)] + tail
-        mid = [CmpParam("<=", PARAM)]
-        if b_period >= 2:
-            mid += _mod_n_residue_ops(b_period, rho_of[b_period])
-        return head + mid + tail
-    if case == "LL_MIRROR":
-        head = p_minus + _minus(a + 2)
-        tail = _plus(a + 2) + p_plus
-        if b_period == 0:
-            return head + [CmpConst("=", 0)] + tail
-        mid = [CmpConst(">=", 0)]
-        if b_period >= 2:
-            mid += [ModTest(b_period)]
-        return head + mid + tail
-    if case in ("LR_LEFT", "LR_ZN", "LR_ZN1"):
-        drop = a + 2 if case != "LR_ZN1" else a + 3
-        head = p_minus + p_minus + _minus(drop)
-        tail = _plus(drop) + p_plus + p_plus
-        if b_period == 0:
-            return head + [CmpConst("=", 0)] + tail
-        mid = [CmpConst(">=", 0)]
-        if b_period >= 2:
-            mid += [ModTest(b_period)]
-        return head + mid + tail
-    if case in ("UL_TOP", "UL_ZN", "UL_ZN1"):
-        lift = a + 2 if case != "UL_ZN1" else a + 3
-        head = _plus(lift) + p_minus
-        tail = p_plus + _minus(lift)
-        if b_period == 0:
-            return head + [CmpParam("=", PARAM)] + tail
-        mid = [CmpParam("<=", PARAM)]
-        if b_period >= 2:
-            mid += _mod_n_residue_ops(b_period, rho_of[b_period])
-        return head + mid + tail
-    raise ValueError(f"no traversal gadget for case {case!r}")
+    bound, descents, extra = CASES[case]
+    lift = a + 2 + extra
+    if bound == "N":
+        return _restore(_plus(lift) + [_MINUS_N] * descents, _bound_test("N", "<=", b_period, rho_of))
+    return _restore([_MINUS_N] * descents + _minus(lift), _bound_test("0", ">=", b_period, rho_of))
 
 
 def _exist_ops(case: str, gen: tuple):
     """Restoring check that the progression meets the cell's dwell range."""
-    a, _ = gen
-    p_minus = [AddParam(-1, PARAM)]
-    p_plus = [AddParam(1, PARAM)]
-    if case == "LL_MAIN":
-        return (
-            _plus(a + 2)
-            + p_minus
-            + p_minus
-            + [CmpParam("<=", PARAM)]
-            + p_plus
-            + p_plus
-            + _minus(a + 2)
-        )
-    if case == "LL_MIRROR":
-        return p_minus + [CmpConst(">=", a + 2)] + p_plus
-    if case in ("LR_LEFT", "LR_ZN"):
-        return p_minus + p_minus + [CmpConst(">=", a + 2)] + p_plus + p_plus
-    if case == "LR_ZN1":
-        return p_minus + p_minus + [CmpConst(">=", a + 3)] + p_plus + p_plus
-    if case in ("UL_TOP", "UL_ZN"):
-        return _plus(a + 2) + p_minus + [CmpParam("<=", PARAM)] + p_plus + _minus(a + 2)
-    if case == "UL_ZN1":
-        return _plus(a + 3) + p_minus + [CmpParam("<=", PARAM)] + p_plus + _minus(a + 3)
     if case == "UR":
         return []
-    raise ValueError(f"no existence gadget for case {case!r}")
+    bound, descents, extra = CASES[case]
+    lift = gen[0] + 2 + extra
+    if bound == "N":
+        return _restore(_plus(lift) + [_MINUS_N] * descents, [CmpParam("<=", PARAM)])
+    return _restore([_MINUS_N] * descents, [CmpConst(">=", lift)])
 
 
-_VERIFY_LE_N_MINUS_1 = (
-    _plus(1)
-    + [AddParam(-1, PARAM), AddParam(-1, PARAM), CmpParam("<=", PARAM), AddParam(1, PARAM), AddParam(1, PARAM)]
-    + _minus(1)
-)
+def _traverse_dwell(case: str, z: int, n: int) -> int:
+    """The dwell a traversal gadget admits at difference z."""
+    bound, descents, extra = CASES[case]
+    w = z + (2 - descents) * n
+    return (n - w if bound == "N" else w) - 2 - extra
+
+
+# Lock resets turn the dwell beyond the progression offset a into the new
+# counter.  Per style, (a, period, extra dwell, rho_of) -> (ops before the
+# dwell loop, loop step, loop period, restoring check after it).
+LOCKS = {
+    # new difference z+1+delta, verified <= N-1
+    "lock_y_main": lambda a, b, extra, rho_of: (_plus(1 + a), 1, b, _zcond_ops("z<=N-1")),
+    # new difference -(1+delta): descend by N, climb at least once, then
+    # pin the climb target against the progression.
+    "lock_x_main": lambda a, b, extra, rho_of: (
+        [_MINUS_N, AddConst(1)], 1, 1,
+        _restore(_plus(1 + a) + [_MINUS_N], _bound_test("N", "<=", b, rho_of)),
+    ),
+    # new difference 1+delta: climb by N, descend at least once, pin.
+    "lock_y_mirror": lambda a, b, extra, rho_of: (
+        [_PLUS_N, AddConst(-1)], -1, 1,
+        _restore(_minus(1 + a) + [_MINUS_N], _bound_test("N", ">=", b, rho_of)),
+    ),
+    # new difference z-1-delta, verified >= 1-N
+    "lock_x_mirror": lambda a, b, extra, rho_of: (_minus(1 + a), -1, b, _zcond_ops("z>=1-N")),
+    # from LOWER_RIGHT: new difference z-N-1-delta (left entry) or
+    # -(1+delta) (bottom entries), same shifted form either way.
+    "lock_x_lr": lambda a, b, extra, rho_of: (
+        [_MINUS_N] + _minus(1 + extra + a), -1, b, _zcond_ops("z>=1-N"),
+    ),
+    # from UPPER_LEFT: new difference N+1+z+delta (top entry) or 1+delta
+    # (left entries), verified <= N-1.
+    "lock_y_ul": lambda a, b, extra, rho_of: (
+        [_PLUS_N] + _plus(1 + extra + a), 1, b, _zcond_ops("z<=N-1"),
+    ),
+}
+
+# Reset inside an open cell, per case family (the LR_* and UL_* cases share
+# one row each) and reset clock: a lock style, or the action applied after
+# an existence check.  A lock on y enters YMID, a lock on x enters XMID;
+# resetting both clocks zeroes the difference.
+_CELL_RESET_STYLE = {
+    "LL_MAIN": {"y": "lock_y_main", "x": "lock_x_main"},
+    "LL_MIRROR": {"y": "lock_y_mirror", "x": "lock_x_mirror"},
+    "LR": {"y": "plus_sent", "x": "lock_x_lr"},
+    "UL": {"y": "lock_y_ul", "x": "minus_sent"},
+}
+
+
+def _cell_reset(case: str, rk: str):
+    """(style, action, target class) of a reset inside an open cell."""
+    if rk == "xy":
+        return "exist_then", "zero", "Z0"
+    entry = _CELL_RESET_STYLE[case if case.startswith("LL_") else case[:2]][rk]
+    if entry in LOCKS:
+        return entry, None, "YMID" if rk == "y" else "XMID"
+    return "exist_then", entry, ACTION_TARGET_KAPPA[entry]
+
+
+# Ops taking the shifted counter from z + 2N to exactly 2N, per class.  The
+# ranged classes get a marker that _resolve_collapses expands into a walk
+# to the pin.
+_COLLAPSE = {
+    "Z0": [],
+    "YN": [_MINUS_N],
+    "YHI": [_MINUS_N, AddConst(-1)],
+    "XN": [_PLUS_N],
+    "XHI": [_PLUS_N, AddConst(1)],
+    "YMID": [("collapse", -1)],
+    "XMID": [("collapse", +1)],
+}
+
+# Reset action -> (collapses first, ops realizing the new difference).
+_ACTIONS = {
+    "noop": (False, []),
+    "add_p": (False, [_PLUS_N]),
+    "sub_p": (False, [_MINUS_N]),
+    "zero": (True, []),
+    "plus_n": (True, [_PLUS_N]),
+    "minus_n": (True, [_MINUS_N]),
+    "plus_sent": (True, [_PLUS_N, AddConst(1)]),
+    "minus_sent": (True, [_MINUS_N, AddConst(-1)]),
+}
+
+
+def _action_ops(kappa: str, action: str):
+    """Counter ops realizing a reset to a known new difference."""
+    collapse, ops = _ACTIONS[action]
+    return (_COLLAPSE[kappa] if collapse else []) + ops
 
 
 class _Builder:
@@ -439,13 +507,9 @@ class _Builder:
 
     def _anchor_events(self, kappa, slot, u):
         region = CHAINS[kappa][slot]
-        out = []
         if region.is_open_cell():
-            case = CELL_CASE[(kappa, region)]
-            out += self._cell_events(kappa, slot, region, case, u)
-        else:
-            out += self._point_events(kappa, slot, region, u)
-        return out
+            return self._cell_events(kappa, slot, region, CELL_CASE[(kappa, region)], u)
+        return self._point_events(kappa, slot, region, u)
 
     def _point_events(self, kappa, slot, region, u):
         closure = reachable([u], self.tables[region]["eps"].__getitem__)
@@ -496,7 +560,6 @@ class _Builder:
 
     def _cell_events(self, kappa, slot, region, case, u):
         out = []
-        states = sorted(self.b.states)
         if case == "UR":
             for ridx, rule in enumerate(self.b.rules0):
                 if not rule.resets:
@@ -526,7 +589,7 @@ class _Builder:
                     break
             return out
 
-        needs_rho = case in ("LL_MAIN", "UL_TOP", "UL_ZN", "UL_ZN1")
+        needs_rho = CASES[case][0] == "N"
         for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
             target_region = CHAINS[kappa][nxt_slot]
             for ridx, rule in enumerate(self.b.rules1):
@@ -551,17 +614,15 @@ class _Builder:
                 continue
             if not region_satisfies(region, rule.guard, (self.clock_x, self.clock_y)):
                 continue
-            rk = _reset_key(rule.resets, self.clock_x, self.clock_y)
+            style, action, kappa2 = _cell_reset(case, _reset_key(rule.resets, self.clock_x, self.clock_y))
             for gen in _gens(self.tables, region, u, rule.src):
-                lock = _CELL_RESET_STYLE[case][rk]
-                kappa2 = lock["kappa"]
                 out.append(
                     {
                         "type": "reset",
-                        "style": lock["style"],
-                        "action": lock.get("action"),
+                        "style": style,
+                        "action": action,
                         "gen": gen,
-                        "needs_rho": lock["style"] in ("lock_x_main", "lock_y_mirror") and gen[1] >= 2,
+                        "needs_rho": style in ("lock_x_main", "lock_y_mirror") and gen[1] >= 2,
                         "rule0": ridx,
                         "v": rule.src,
                         "next": (kappa2, 0, rule.dst),
@@ -625,144 +686,25 @@ class _Builder:
             lo=(0, 0),
             hi=(3, slack),
         )
-        if ev["type"] == "accept":
-            ops = _exist_ops(case, ev["gen"]) if "gen" in ev else []
-            self._note_consts(ops)
-            self.em.chain(head, ops, self.acc)
+        if ev.get("style") in LOCKS:
+            self._emit_lock_reset(head, case, ev, rho_of, anchor(ev["next"]))
             return
-        if ev["type"] == "cross":
-            ops = []
-            if ev.get("cond"):
-                ops += _zcond_ops(ev["cond"])
-            if "gen" in ev:
-                ops += _traverse_ops(case, ev["gen"], rho_of)
-            self._note_consts(ops)
-            self.em.chain(head, ops, anchor(ev["next"]))
-            return
-        # resets
-        style = ev["style"]
-        if style in ("point", "ur"):
-            ops = self._action_ops(kappa, ev["action"])
-            self._note_consts(ops)
-            self.em.chain(head, ops, anchor(ev["next"]))
-            return
-        if style == "exist_then":
-            ops = _exist_ops(case, ev["gen"]) + self._action_ops(kappa, ev["action"])
-            self._note_consts(ops)
-            self.em.chain(head, ops, anchor(ev["next"]))
-            return
-        self._emit_lock_reset(head, kappa, case, style, ev, rho_of, anchor)
+        ops = _zcond_ops(ev["cond"]) if ev.get("cond") else []
+        if "gen" in ev:
+            ops += _traverse_ops(case, ev["gen"], rho_of) if ev["type"] == "cross" else _exist_ops(case, ev["gen"])
+        if ev["type"] == "reset":
+            ops += _action_ops(kappa, ev["action"])
+        self._note_consts(ops)
+        self.em.chain(head, ops, self.acc if ev["type"] == "accept" else anchor(ev["next"]))
 
-    def _emit_lock_reset(self, head, kappa, case, style, ev, rho_of, anchor):
+    def _emit_lock_reset(self, head, case, ev, rho_of, target):
         """Gadgets that turn a nondeterministic dwell into the new counter."""
         a, b_period = ev["gen"]
-        target = anchor(ev["next"])
-        em = self.em
-        p_plus, p_minus = AddParam(1, PARAM), AddParam(-1, PARAM)
         self.max_const = max(self.max_const, a + 3, b_period)
-
-        if style == "lock_y_main":
-            # new difference z+1+delta, verified <= N-1
-            cur = em.fresh()
-            em.chain(head, _plus(1 + a) or [AddConst(0)], cur)
-            hub = em.loop(cur, +1, b_period)
-            em.chain(hub, list(_VERIFY_LE_N_MINUS_1), target)
-            return
-        if style == "lock_x_main":
-            # new difference -(1+delta): descend by N, climb at least once,
-            # then pin the climb target against the progression.
-            cur = em.fresh()
-            em.chain(head, [p_minus, AddConst(1)], cur)
-            hub = em.loop(cur, +1, 1)
-            ops = _plus(1 + a) + [p_minus]
-            if b_period == 0:
-                ops += [CmpParam("=", PARAM)]
-            else:
-                ops += [CmpParam("<=", PARAM)]
-                if b_period >= 2:
-                    ops += _mod_n_residue_ops(b_period, rho_of[b_period])
-            ops += [p_plus] + _minus(1 + a)
-            em.chain(hub, ops, target)
-            return
-        if style == "lock_y_mirror":
-            # new difference 1+delta: climb by N, descend at least once, pin.
-            cur = em.fresh()
-            em.chain(head, [p_plus, AddConst(-1)], cur)
-            hub = em.loop(cur, -1, 1)
-            ops = _minus(1 + a) + [p_minus]
-            if b_period == 0:
-                ops += [CmpParam("=", PARAM)]
-            else:
-                ops += [CmpParam(">=", PARAM)]
-                if b_period >= 2:
-                    ops += _mod_n_residue_ops(b_period, rho_of[b_period])
-            ops += [p_plus] + _plus(1 + a)
-            em.chain(hub, ops, target)
-            return
-        if style == "lock_x_mirror":
-            # new difference z-1-delta, verified >= 1-N
-            cur = em.fresh()
-            em.chain(head, _minus(1 + a), cur)
-            hub = em.loop(cur, -1, b_period)
-            em.chain(hub, [p_minus, CmpConst(">=", 1), p_plus], target)
-            return
-        if style == "lock_x_lr":
-            # from LOWER_RIGHT: new difference z-N-1-delta (left entry) or
-            # -(1+delta) (bottom entries), same shifted form either way.
-            prefix = {"LR_LEFT": [p_minus], "LR_ZN": [p_minus], "LR_ZN1": [p_minus, AddConst(-1)]}[case]
-            cur = em.fresh()
-            em.chain(head, prefix + _minus(1 + a), cur)
-            hub = em.loop(cur, -1, b_period)
-            em.chain(hub, [p_minus, CmpConst(">=", 1), p_plus], target)
-            return
-        if style == "lock_y_ul":
-            # from UPPER_LEFT: new difference N+1+z+delta (top entry) or
-            # 1+delta (left entries), verified <= N-1.
-            prefix = {"UL_TOP": [p_plus], "UL_ZN": [p_plus], "UL_ZN1": [p_plus, AddConst(1)]}[case]
-            cur = em.fresh()
-            em.chain(head, prefix + _plus(1 + a), cur)
-            hub = em.loop(cur, +1, b_period)
-            em.chain(hub, list(_VERIFY_LE_N_MINUS_1), target)
-            return
-        raise ValueError(f"unknown lock style {style!r}")
-
-    def _action_ops(self, kappa, action):
-        """Counter ops realizing a reset to a known new difference."""
-        p_plus, p_minus = AddParam(1, PARAM), AddParam(-1, PARAM)
-        if action == "noop":
-            return []
-        if action == "add_p":
-            return [p_plus]
-        if action == "sub_p":
-            return [p_minus]
-        collapse = self._collapse_ops(kappa)
-        if action == "zero":
-            return collapse
-        if action == "plus_n":
-            return collapse + [p_plus]
-        if action == "minus_n":
-            return collapse + [p_minus]
-        if action == "plus_sent":
-            return collapse + [p_plus, AddConst(1)]
-        if action == "minus_sent":
-            return collapse + [p_minus, AddConst(-1)]
-        raise ValueError(f"unknown reset action {action!r}")
-
-    def _collapse_ops(self, kappa):
-        """Ops taking the shifted counter from z + 2N to exactly 2N."""
-        if kappa == "Z0":
-            return []
-        if kappa == "YN":
-            return [AddParam(-1, PARAM)]
-        if kappa == "YHI":
-            return [AddParam(-1, PARAM), AddConst(-1)]
-        if kappa == "XN":
-            return [AddParam(1, PARAM)]
-        if kappa == "XHI":
-            return [AddParam(1, PARAM), AddConst(1)]
-        # ranged classes: walk to the pin and verify it exactly
-        step = -1 if kappa == "YMID" else +1
-        return [("collapse", step)]
+        pre, step, period, post = LOCKS[ev["style"]](a, b_period, CASES[case][2], rho_of)
+        cur = self.em.fresh()
+        self.em.chain(head, pre, cur)
+        self.em.chain(self.em.loop(cur, step, period), post, target)
 
     def _note_consts(self, ops):
         for op in ops:
@@ -776,50 +718,6 @@ def _reset_key(resets, clock_x, clock_y) -> str:
     if has_x and has_y:
         return "xy"
     return "x" if has_x else "y"
-
-
-_CELL_RESET_STYLE = {
-    "LL_MAIN": {
-        "y": {"style": "lock_y_main", "kappa": "YMID"},
-        "x": {"style": "lock_x_main", "kappa": "XMID"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "LL_MIRROR": {
-        "y": {"style": "lock_y_mirror", "kappa": "YMID"},
-        "x": {"style": "lock_x_mirror", "kappa": "XMID"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "LR_LEFT": {
-        "y": {"style": "exist_then", "action": "plus_sent", "kappa": "YHI"},
-        "x": {"style": "lock_x_lr", "kappa": "XMID"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "LR_ZN": {
-        "y": {"style": "exist_then", "action": "plus_sent", "kappa": "YHI"},
-        "x": {"style": "lock_x_lr", "kappa": "XMID"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "LR_ZN1": {
-        "y": {"style": "exist_then", "action": "plus_sent", "kappa": "YHI"},
-        "x": {"style": "lock_x_lr", "kappa": "XMID"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "UL_TOP": {
-        "y": {"style": "lock_y_ul", "kappa": "YMID"},
-        "x": {"style": "exist_then", "action": "minus_sent", "kappa": "XHI"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "UL_ZN": {
-        "y": {"style": "lock_y_ul", "kappa": "YMID"},
-        "x": {"style": "exist_then", "action": "minus_sent", "kappa": "XHI"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-    "UL_ZN1": {
-        "y": {"style": "lock_y_ul", "kappa": "YMID"},
-        "x": {"style": "exist_then", "action": "minus_sent", "kappa": "XHI"},
-        "xy": {"style": "exist_then", "action": "zero", "kappa": "Z0"},
-    },
-}
 
 
 def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
@@ -840,22 +738,17 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     # the modulo periods in use, then offset the counter by 2N.
     events, mods = builder.discover()
     gate = em.fresh({"role": "large-gate"})
-    em.chain(
-        init,
-        _plus(SMALL_LIMIT) + [CmpParam("<=", PARAM)] + _minus(SMALL_LIMIT) + [AddParam(1, PARAM)],
-        gate,
-    )
+    em.chain(init, _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N], gate)
     mods = sorted(mods)
     rho_choices = [[(b_, r) for r in range(b_)] for b_ in mods]
     for combo in itertools.product(*rho_choices) if mods else [()]:
         cur = gate
         for b_, r in combo:
             nxt = em.fresh()
-            lift = (b_ - r) % b_
-            em.chain(cur, _plus(lift) + [ModTest(b_)] + _minus(lift), nxt)
+            em.chain(cur, _residue_ops(b_, r), nxt)
             cur = nxt
         entry = em.fresh({"role": "offset", "rho": combo})
-        em.edge(cur, AddParam(1, PARAM), entry)
+        em.edge(cur, _PLUS_N, entry)
         anchors = builder.emit(events, combo)
         em.edge(entry, AddConst(0), anchors[("Z0", 0, b.initial)])
 
@@ -898,17 +791,10 @@ def _prune(states, rules, init, acc):
 def _resolve_collapses(builder):
     """Expand symbolic collapse markers into pinned walk-to-2N loops."""
     em = builder.em
-    pin_ops = [
-        AddParam(-1, PARAM),
-        AddParam(-1, PARAM),
-        CmpConst("=", 0),
-        AddParam(1, PARAM),
-        AddParam(1, PARAM),
-    ]
     for rule in list(em.rules):
         if isinstance(rule.op, tuple) and rule.op and rule.op[0] == "collapse":
             step = rule.op[1]
-            em.chain(em.loop(rule.src, step, 1), pin_ops, rule.dst)
+            em.chain(em.loop(rule.src, step, 1), _zcond_ops("z=0"), rule.dst)
     return [r for r in em.rules if not isinstance(r.op, tuple)]
 
 
@@ -953,17 +839,6 @@ def _emit_small_branch(builder, init, k):
 # ---------------------------------------------------------------------------
 
 
-_TRAVERSE_DELTA = {
-    "LL_MAIN": lambda z, n: n - 2 - z,
-    "LL_MIRROR": lambda z, n: n - 2 + z,
-    "LR_LEFT": lambda z, n: z - 2,
-    "LR_ZN": lambda z, n: z - 2,
-    "LR_ZN1": lambda z, n: z - 3,
-    "UL_TOP": lambda z, n: -z - 2,
-    "UL_ZN": lambda z, n: -z - 2,
-    "UL_ZN1": lambda z, n: -z - 3,
-}
-
 _LOCK_DELTA = {
     "lock_y_main": lambda case, z0, z1, n: z1 - z0 - 1,
     "lock_x_main": lambda case, z0, z1, n: -z1 - 1,
@@ -991,6 +866,7 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
         Run,
         validate_run,
         zero_one_reach_bruteforce,
+        zero_one_step,
     )
 
     b = result.source
@@ -1013,8 +889,6 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
 
     def extend(rule_global_idx, bit):
         rule = (b.rules0 + b.rules1)[rule_global_idx]
-        from .semantics import zero_one_step
-
         nxt = zero_one_step(b, n, configs[-1], rule, bit)
         if nxt is None:
             raise DecodeError(f"decoded step failed replay at rule {rule_global_idx}")
@@ -1051,7 +925,7 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
 
         if ev["type"] == "cross":
             if "gen" in ev:
-                steps = _TRAVERSE_DELTA[case](z_before, n)
+                steps = _traverse_dwell(case, z_before, n)
             else:
                 steps = 0
             dwell(region, u, ev["v"], steps)

@@ -3,13 +3,16 @@
 A one-counter automaton with only +0/+1 updates is a unary NFA: +1 rules are
 letters, +0 rules epsilon moves.  The set of counter values reachable at a
 target state from source(0) is a finite union of arithmetic progressions
-a + b*N.  Construction: singletons below |Q|^2 by layered search, plus one
-progression per (cyclic state s, residue r): period = shortest cycle length
-through s, offset = minimal weight of an accepted walk through s with that
-weight residue.  Any accepted weight >= |Q|^2 has a witness revisiting some
-state, so it falls into one of these progressions; minimal offsets stay
-below 2|Q|^2 because a longer minimal witness would contain an excisable
-cycle-multiple on one side of its s-visit.
+a + b*N.  Only the relevant states -- reachable from the source and
+co-reachable to the target -- can lie on an accepted walk.  Construction:
+singletons below |relevant| by layered search, plus one progression per
+(cyclic state s, residue r): period = shortest cycle length b_s through s,
+offset = minimal weight of an accepted walk through s with that weight
+residue.  An accepted walk of weight w >= |relevant| visits some relevant
+state s twice, so s is cyclic, and splitting the walk at s shows that the
+offset for s and w mod b_s is at most w: w lies in that progression.
+Minimal offsets stay below 2|Q|^2 because a longer minimal witness would
+contain an excisable cycle-multiple on one side of its s-visit.
 """
 
 from __future__ import annotations
@@ -224,12 +227,13 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     if source not in relevant:
         return APSet.from_pairs(())
 
-    # Membership for weights below n^2, by layered subset search.  Weights
-    # >= n^2 always admit a witness revisiting a cyclic state, so they are
-    # covered by the progressions constructed below.
+    # Membership for weights below |relevant|, by layered subset search.  A
+    # longer accepted walk revisits a relevant state v, which then lies on a
+    # cycle; the progression built below for v at the walk's residue has an
+    # offset no larger than the walk's weight, so it covers that weight.
     singles = []
     layer = {source}
-    for t in range(n * n):
+    for t in range(len(relevant)):
         if layer & accept:
             singles.append((t, 0))
         layer = {v for u in layer for v in succ[u] if v in relevant}

@@ -17,10 +17,12 @@ from typing import Optional
 from .automata import PTA, derive_constants
 from .poca_build import BuildResult, build_poca, decode_witness
 from .semantics import (
+    PtaConfiguration,
     Run,
     apply_op,
     poca_reach_bounded,
     pta_reach_bruteforce,
+    pta_step,
     shortest_path,
     validate_run,
 )
@@ -136,8 +138,6 @@ def zero_one_run_to_pta_run(pta: PTA, n: int, b_run: Run) -> Run:
     original rule behind each +0 step is recovered by matching endpoints
     and replaying against the product's stored (saturated) valuation.
     """
-    from .semantics import PtaConfiguration, pta_step
-
     cap = max(pta.consts(), default=0) + 1
     clocks = sorted(pta.clocks)
     configs = [PtaConfiguration.make(pta.initial, {c: 0 for c in clocks})]

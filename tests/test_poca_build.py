@@ -1,12 +1,18 @@
 """The 0/1-PTA to counter-automaton construction."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from ptareach import serialize
 from ptareach.automata import Guard, PtaRule, ZeroOnePTA
 from ptareach.fixtures import fixture_corpus, random_two_one_pta
 from ptareach.poca_build import (
+    CASES,
+    CROSSINGS,
+    LOCKS,
     BudgetExceeded,
     build_poca,
     decode_witness,
@@ -205,3 +211,26 @@ def test_small_branch_handles_degenerate_parameters():
                 witness = poca_reach_bounded(res.poca, n, 0, 4 * max(n, size))
                 b_run = decode_witness(res, n, witness)
                 assert validate_run(b_run, res.source, n) == (True, None)
+
+
+# sha256 of the build output on the fixtures and the acceptance corpus's
+# random draws.  A change to the POCA construction must update it on purpose.
+BUILD_OUTPUT_SHA256 = "eda1a69f977e793d09e5fed18606d1ad57fe11dfa757fafc9225e77e456064f0"
+
+
+def test_build_output_pinned():
+    ptas = [fx.pta for fx in fixture_corpus()]
+    rng = random.Random(20260809)
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
+    digest = hashlib.sha256()
+    seen = set()
+    for pta in ptas:
+        res = build_poca(to_zero_one_pta(pta))
+        digest.update(serialize.dumps(res.poca).encode())
+        digest.update(json.dumps(res.annotations).encode())
+        digest.update(repr(sorted(res.gadgets.items())).encode())
+        seen |= {g.name.partition(":")[2] for g in res.gadgets.values()}
+    assert digest.hexdigest() == BUILD_OUTPUT_SHA256
+    # The digest vouches for every gadget only if the corpus emits each one.
+    conds = {cond for edges in CROSSINGS.values() for _, cond in edges if cond}
+    assert set(LOCKS) | set(CASES) | conds | {"point", "ur", "exist_then"} <= seen

@@ -139,6 +139,19 @@ class TestReachLengths:
             assert apset_member(s, t) == (t in expected)
         assert s.pairs == ((0, 2),)
 
+    def test_layered_search_stops_at_relevant_states(self, monkeypatch):
+        # Isolated states lengthen no walk: the layered search must stop
+        # after |relevant| = 1 layer instead of emitting a singleton per
+        # layer up to |Q|^2 for the normalization to throw away.
+        raw = []
+        monkeypatch.setattr(
+            "ptareach.semilinear._normalize", lambda pairs: raw.extend(pairs) or _normalize(pairs)
+        )
+        rules = [PocaRule("s", AddConst(1), "s"), PocaRule("s", AddConst(0), "t")]
+        c = _oca(rules, {"s", "t"} | {f"pad{i}" for i in range(40)}, "s")
+        assert reach_lengths(c, "s", "t").pairs == ((0, 1),)
+        assert [(t, b) for t, b in raw if b == 0 and t >= 1] == []
+
     def test_unreachable_pair(self):
         c = _oca([PocaRule("q", AddConst(1), "q")], {"q", "island"}, "q")
         assert reach_lengths(c, "q", "island").is_empty()
