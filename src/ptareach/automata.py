@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 COMPARISONS = ("<", "<=", "=", ">=", ">")
@@ -398,6 +399,19 @@ class POCA:
             + len(self.rules)
             + sum(r.op.size() for r in self.rules)
         )
+
+    @cached_property
+    def out_rules(self) -> dict:
+        """Source index: state -> indices of the rules leaving it, in rule order.
+
+        Built on first use and kept for the automaton's lifetime, so every
+        per-N counter search over one POCA shares it.  States without an
+        outgoing rule are absent.
+        """
+        index = {}
+        for idx, rule in enumerate(self.rules):
+            index.setdefault(rule.src, []).append(idx)
+        return {state: tuple(idxs) for state, idxs in index.items()}
 
 
 # ---------------------------------------------------------------------------

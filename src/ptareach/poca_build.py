@@ -244,26 +244,33 @@ class _Emitter:
         return hub
 
 
-def _region_tables(b: ZeroOnePTA):
+class _RegionTables(dict):
     """Per region: the region automaton, its epsilon graph, and AP memo.
 
-    The OCA's letter graph is built on the region's first AP-memo miss and
-    shared by every later ``reach_lengths`` call on that region.
+    A region's automaton and epsilon graph are built the first time the
+    region is looked up; its OCA and the OCA's letter graph on the region's
+    first AP-memo miss, shared by every later ``reach_lengths`` call on it.
+    A build touches about half of the sixteen regions and asks AP tables of
+    about three.
     """
-    tables = {}
-    for region in Region:
-        b_r = region_automaton(b, region)
-        eps = {s: set() for s in b.states}
+
+    def __init__(self, b: ZeroOnePTA):
+        super().__init__()
+        self.b = b
+
+    def __missing__(self, region):
+        b_r = region_automaton(self.b, region)
+        eps = {s: set() for s in self.b.states}
         for rule in b_r.rules0:
             eps[rule.src].add(rule.dst)
-        tables[region] = {
+        table = self[region] = {
             "automaton": b_r,
-            "oca": region_oca(b_r),
+            "oca": None,
             "eps": eps,
             "gens": {},
             "letters": None,
         }
-    return tables
+        return table
 
 
 def _gens(tables, region, u, v) -> tuple:
@@ -271,7 +278,8 @@ def _gens(tables, region, u, v) -> tuple:
     memo = table["gens"]
     key = (u, v)
     if key not in memo:
-        if table["letters"] is None:
+        if table["oca"] is None:
+            table["oca"] = region_oca(table["automaton"])
             table["letters"] = letter_graph(table["oca"])
         memo[key] = reach_lengths(table["oca"], u, v, table["letters"]).pairs
     return memo[key]
@@ -476,7 +484,7 @@ class _Builder:
             raise ValueError("builder expects reset-free time rules")
         self.b = b
         self.em = _Emitter(budget)
-        self.tables = _region_tables(b)
+        self.tables = _RegionTables(b)
         self.clock_x, self.clock_y = sorted(b.clocks)
         self.acc = self.em.fresh({"role": "acc"})
         self.gadget_specs = {}
@@ -887,8 +895,10 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
     configs = [PtaConfiguration.make(b.initial, {cx: 0, cy: 0})]
     labels = []
 
+    all_rules = b.rules0 + b.rules1
+
     def extend(rule_global_idx, bit):
-        rule = (b.rules0 + b.rules1)[rule_global_idx]
+        rule = all_rules[rule_global_idx]
         nxt = zero_one_step(b, n, configs[-1], rule, bit)
         if nxt is None:
             raise DecodeError(f"decoded step failed replay at rule {rule_global_idx}")

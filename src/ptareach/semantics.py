@@ -375,6 +375,20 @@ def zero_one_reach_configs(
     return reachable([(start.state, start.valuation)], successors)
 
 
+def poca_successors(poca: POCA, n: int, lo: int, hi: int, state: str, z: int):
+    """Enabled POCA steps from state(z) whose counter stays inside [lo, hi].
+
+    Yields (rule index, target state, counter after the step) in rule order,
+    read from the automaton's source index ``POCA.out_rules``.
+    """
+    rules = poca.rules
+    for idx in poca.out_rules.get(state, ()):
+        rule = rules[idx]
+        z2 = apply_op(rule.op, n, z)
+        if z2 is not None and lo <= z2 <= hi:
+            yield idx, rule.dst, z2
+
+
 def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
     """Shortest accepting run with all counter values inside [lo, hi].
 
@@ -384,16 +398,9 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
     if not lo <= 0 <= hi:
         raise ValueError("window must satisfy lo <= 0 <= hi")
 
-    by_src = {}
-    for idx, rule in enumerate(poca.rules):
-        by_src.setdefault(rule.src, []).append((idx, rule))
-
     def successors(node):
-        state, z = node
-        for idx, rule in by_src.get(state, ()):
-            z2 = apply_op(rule.op, n, z)
-            if z2 is not None and lo <= z2 <= hi:
-                yield idx, (rule.dst, z2)
+        for idx, dst, z2 in poca_successors(poca, n, lo, hi, *node):
+            yield idx, (dst, z2)
 
     found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
     if found is None:
@@ -416,6 +423,8 @@ def validate_run(run: Run, automaton, n: int) -> tuple:
 
     Returns (True, None) or (False, first_failing_step_index).
     """
+    if run.kind == "zero-one-pta":
+        all_rules = automaton.rules0 + automaton.rules1
     for i, label in enumerate(run.labels):
         conf = run.configs[i]
         try:
@@ -424,7 +433,6 @@ def validate_run(run: Run, automaton, n: int) -> tuple:
                 nxt = pta_step(automaton, n, conf, automaton.rules[ridx], delay)
             elif run.kind == "zero-one-pta":
                 ridx, bit = label
-                all_rules = automaton.rules0 + automaton.rules1
                 nxt = zero_one_step(automaton, n, conf, all_rules[ridx], bit)
             else:
                 nxt = poca_step(automaton, n, conf, automaton.rules[label])

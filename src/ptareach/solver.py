@@ -19,8 +19,8 @@ from .poca_build import BuildResult, build_poca, decode_witness
 from .semantics import (
     PtaConfiguration,
     Run,
-    apply_op,
     poca_reach_bounded,
+    poca_successors,
     pta_reach_bruteforce,
     pta_step,
     shortest_path,
@@ -180,17 +180,12 @@ def find_bound_violation(poca, n: int, bound: int, slack: int) -> Optional[tuple
     recording whether the path so far left [0, bound]; returns a violating
     accepting configuration if one exists in that window.
     """
-    by_src = {}
-    for rule in poca.rules:
-        by_src.setdefault(rule.src, []).append(rule)
     lo, hi = -slack, bound + slack
 
     def successors(node):
         state, z, flagged = node
-        for rule in by_src.get(state, ()):
-            z2 = apply_op(rule.op, n, z)
-            if z2 is not None and lo <= z2 <= hi:
-                yield None, (rule.dst, z2, flagged or not 0 <= z2 <= bound)
+        for _, dst, z2 in poca_successors(poca, n, lo, hi, state, z):
+            yield None, (dst, z2, flagged or not 0 <= z2 <= bound)
 
     found = shortest_path(
         (poca.initial, 0, False), successors, lambda node: node[2] and node[0] in poca.finals

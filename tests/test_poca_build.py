@@ -68,6 +68,26 @@ def test_immediate_acceptance_within_offset_envelope():
         assert all(0 <= v <= 2 * max(n, 2) for v in run.counter_values())
 
 
+def test_region_tables_built_on_first_use(monkeypatch):
+    # A region's automaton is built only when the build looks at the region,
+    # and its OCA only when an AP table of the region is asked for.
+    from ptareach import poca_build
+
+    calls = {"region_automaton": [], "region_oca": []}
+    for name in calls:
+        original = getattr(poca_build, name)
+
+        def wrapped(*args, _fn=original, _seen=calls[name]):
+            _seen.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(poca_build, name, wrapped)
+    build_poca(to_zero_one_pta(next(f for f in fixture_corpus() if f.name == "even").pta))
+    regions = [region for _, region in calls["region_automaton"]]
+    assert len(set(regions)) == len(regions) < 16
+    assert 0 < len(calls["region_oca"]) < len(regions)
+
+
 def test_fixture_equivalence_per_parameter_value():
     for fx in fixture_corpus():
         c_max = max(fx.pta.consts(), default=0)

@@ -16,12 +16,16 @@ from ptareach.automata import (
     PocaRule,
     PtaRule,
 )
+from ptareach.fixtures import fixture_by_name, fixture_corpus, random_two_one_pta
+from ptareach.poca_build import build_poca
 from ptareach.semantics import (
     PocaConfiguration,
     PtaConfiguration,
     Run,
+    apply_op,
     poca_reach_bounded,
     poca_step,
+    poca_successors,
     pta_reach_bruteforce,
     pta_step,
     reachable,
@@ -29,6 +33,8 @@ from ptareach.semantics import (
     shortest_path,
     validate_run,
 )
+from ptareach.solver import find_bound_violation
+from ptareach.zero_one import to_zero_one_pta
 
 
 def _pta(states, clocks, params, rules, initial, finals):
@@ -317,3 +323,127 @@ class TestSearchKernel:
         reached = reachable([0], lambda v: (nxt for _, nxt in self._grid(expanded)(v)))
         assert reached == set(range(10))
         assert expanded == [0, 1, 3, 2, 4, 6, 5, 7, 9, 8]
+
+
+class _CountingRules(tuple):
+    """A rule tuple that counts the full passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _old_by_src(poca):
+    by_src = {}
+    for idx, rule in enumerate(poca.rules):
+        by_src.setdefault(rule.src, []).append((idx, rule))
+    return by_src
+
+
+def _old_reach_labels(poca, n, lo, hi):
+    """The per-call index rebuild ``poca_reach_bounded`` used to make."""
+    by_src = _old_by_src(poca)
+
+    def successors(node):
+        state, z = node
+        for idx, rule in by_src.get(state, ()):
+            z2 = apply_op(rule.op, n, z)
+            if z2 is not None and lo <= z2 <= hi:
+                yield idx, (rule.dst, z2)
+
+    found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
+    return None if found is None else found[1]
+
+
+def _old_bound_violation(poca, n, bound, slack):
+    """The per-call index rebuild ``find_bound_violation`` used to make."""
+    by_src = _old_by_src(poca)
+    lo, hi = -slack, bound + slack
+
+    def successors(node):
+        state, z, flagged = node
+        for _, rule in by_src.get(state, ()):
+            z2 = apply_op(rule.op, n, z)
+            if z2 is not None and lo <= z2 <= hi:
+                yield None, (rule.dst, z2, flagged or not 0 <= z2 <= bound)
+
+    found = shortest_path(
+        (poca.initial, 0, False), successors, lambda node: node[2] and node[0] in poca.finals
+    )
+    return None if found is None else found[0][:2]
+
+
+@pytest.fixture(scope="module")
+def acceptance_builds():
+    """(audit bound, slack) per N and the build, for the acceptance corpus.
+
+    Fixtures get the acceptance gate's widened audit.  The random draws get
+    a bound of N + 4, which most of their runs exceed: under their full
+    4 * max(N, |C|) bound the audit explores the whole window, minutes per
+    draw.
+    """
+    def gate(res):
+        size = res.poca.size()
+        return lambda n: (4 * max(n, size), 2 * n + res.max_gadget_const + 16)
+
+    out = []
+    for fx in fixture_corpus():
+        if fx.in_corpus:
+            res = build_poca(to_zero_one_pta(fx.pta))
+            out.append((gate(res), res))
+    rng = random.Random(20260809)
+    for _ in range(110):
+        res = build_poca(to_zero_one_pta(random_two_one_pta(rng, max_states=3)))
+        out.append((lambda n: (n + 4, 2), res))
+    return out
+
+
+class TestSourceIndex:
+    def test_index_groups_rule_indices_by_source_in_rule_order(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            c = _random_poca(rng)
+            old = {s: tuple(i for i, _ in pairs) for s, pairs in _old_by_src(c).items()}
+            assert c.out_rules == old
+
+    def test_built_once_over_a_sweep(self):
+        built = build_poca(to_zero_one_pta(fixture_by_name("even").pta)).poca
+        size = built.size()
+        poca = POCA(built.states, built.params, built.rules, built.initial, built.finals)
+        rules = _CountingRules(poca.rules)
+        object.__setattr__(poca, "rules", rules)
+        hits = 0
+        for n in range(9):
+            hits += poca_reach_bounded(poca, n, 0, 4 * max(n, size)) is not None
+            find_bound_violation(poca, n, 4 * max(n, size), 2 * n + 16)
+        assert hits and rules.passes == 1
+
+    def test_successors_follow_rule_order_inside_the_window(self):
+        rules = (
+            PocaRule("a", AddConst(1), "b"),
+            PocaRule("b", AddConst(1), "a"),
+            PocaRule("a", CmpParam("=", "p"), "f"),
+            PocaRule("a", AddParam(-1, "p"), "b"),
+        )
+        c = POCA(frozenset({"a", "b", "f"}), frozenset({"p"}), rules, "a", frozenset({"f"}))
+        assert list(poca_successors(c, 2, 0, 2, "a", 2)) == [(2, "f", 2), (3, "b", 0)]
+        assert list(poca_successors(c, 2, -5, 5, "a", 0)) == [(0, "b", 1), (3, "b", -2)]
+        assert list(poca_successors(c, 2, 0, 5, "f", 0)) == []
+
+    def test_searches_match_per_call_rebuild(self, acceptance_builds):
+        violations = 0
+        for audit, res in acceptance_builds:
+            poca = res.poca
+            size = poca.size()
+            for n in range(9):
+                hi = 4 * max(n, size)
+                run = poca_reach_bounded(poca, n, 0, hi)
+                assert (None if run is None else list(run.labels)) == _old_reach_labels(
+                    poca, n, 0, hi
+                )
+                found = find_bound_violation(poca, n, *audit(n))
+                assert found == _old_bound_violation(poca, n, *audit(n))
+                violations += found is not None
+        assert violations
