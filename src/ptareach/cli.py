@@ -74,9 +74,10 @@ def _cmd_reduce(args) -> int:
         out = to_zero_one_pta(pta)
         payload = serialize.dumps(out)
     elif args.stage == "region":
+        if args.region is None:
+            raise ValueError("--stage region requires --region")
         b = to_zero_one_pta(pta) if isinstance(pta, PTA) else pta
-        region = Region[args.region]
-        payload = serialize.dumps(region_automaton(b, region))
+        payload = serialize.dumps(region_automaton(b, Region[args.region]))
     elif args.stage == "poca":
         b = to_zero_one_pta(pta)
         result = build_poca(b, budget=args.budget)
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run one reduction stage")
     p.add_argument("--stage", required=True, choices=["zero-one", "region", "poca"])
     p.add_argument("--pta", required=True)
-    p.add_argument("--region", help="region name for --stage region")
+    p.add_argument("--region", choices=[r.name for r in Region], help="region for --stage region")
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--normalize-zero", action="store_true")
     p.add_argument("--annotations", help="sidecar file for state annotations")

@@ -196,16 +196,15 @@ def _minus(k: int):
 class _Emitter:
     def __init__(self, budget: int):
         self.budget = budget
-        self.names = {}
         self.rules = []
         self.annotations = {}
         self.counter = itertools.count()
 
     def fresh(self, meta: Optional[dict] = None) -> str:
-        name = f"c{next(self.counter)}"
-        if len(self.names) >= self.budget:
+        index = next(self.counter)
+        if index >= self.budget:
             raise BudgetExceeded(f"state budget {self.budget} exhausted")
-        self.names[name] = True
+        name = f"c{index}"
         if meta:
             self.annotations[name] = meta
         return name
@@ -420,25 +419,36 @@ LOCKS = {
 }
 
 # Reset inside an open cell, per case family (the LR_* and UL_* cases share
-# one row each) and reset clock: a lock style, or the action applied after
-# an existence check.  A lock on y enters YMID, a lock on x enters XMID;
-# resetting both clocks zeroes the difference.
+# one row each) and reset key: a lock style, or the action applied after an
+# existence check.  A lock on y enters YMID, a lock on x enters XMID.
 _CELL_RESET_STYLE = {
-    "LL_MAIN": {"y": "lock_y_main", "x": "lock_x_main"},
-    "LL_MIRROR": {"y": "lock_y_mirror", "x": "lock_x_mirror"},
-    "LR": {"y": "plus_sent", "x": "lock_x_lr"},
-    "UL": {"y": "lock_y_ul", "x": "minus_sent"},
+    "LL_MAIN": {"y": "lock_y_main", "x": "lock_x_main", "xy": "zero"},
+    "LL_MIRROR": {"y": "lock_y_mirror", "x": "lock_x_mirror", "xy": "zero"},
+    "LR": {"y": "plus_sent", "x": "lock_x_lr", "xy": "zero"},
+    "UL": {"y": "lock_y_ul", "x": "minus_sent", "xy": "zero"},
+    "UR": {"y": "plus_sent", "x": "minus_sent", "xy": "zero"},
 }
 
 
-def _cell_reset(case: str, rk: str):
-    """(style, action, target class) of a reset inside an open cell."""
-    if rk == "xy":
-        return "exist_then", "zero", "Z0"
+def _reset(kappa, region, case, rk):
+    """(style, action, target class) of a reset by key rk at an anchor."""
+    if case is None:
+        action = POINT_RESET_ACTIONS[region][rk]
+        return "point", action, ACTION_TARGET_KAPPA.get(action, kappa)
     entry = _CELL_RESET_STYLE[case if case.startswith("LL_") else case[:2]][rk]
     if entry in LOCKS:
         return entry, None, "YMID" if rk == "y" else "XMID"
-    return "exist_then", entry, ACTION_TARGET_KAPPA[entry]
+    return "ur" if case == "UR" else "exist_then", entry, ACTION_TARGET_KAPPA[entry]
+
+
+def _dwell_keys(gen, needs_rho=None):
+    """Event keys of a dwell progression: none for zero dwell (gen None),
+    and needs_rho beside the progression unless needs_rho is None."""
+    if gen is None:
+        return {}
+    if needs_rho is None:
+        return {"gen": gen}
+    return {"gen": gen, "needs_rho": needs_rho and gen[1] >= 2}
 
 
 # Ops taking the shifted counter from z + 2N to exactly 2N, per class.  The
@@ -485,7 +495,8 @@ class _Builder:
         self.b = b
         self.em = _Emitter(budget)
         self.tables = _RegionTables(b)
-        self.clock_x, self.clock_y = sorted(b.clocks)
+        self.enabled = {}
+        self.clocks = tuple(sorted(b.clocks))
         self.acc = self.em.fresh({"role": "acc"})
         self.gadget_specs = {}
         self.max_const = 0
@@ -513,132 +524,63 @@ class _Builder:
         reachable([("Z0", 0, self.b.initial)], successors)
         return events, mods
 
+    def _rules(self, region, bit):
+        """The resetting rules0 (bit 0) or the rules1 (bit 1) whose guards
+        hold in the region, as (index, rule), classified on first lookup."""
+        key = (region, bit)
+        if key not in self.enabled:
+            self.enabled[key] = [
+                (i, r) for i, r in enumerate(self.b.rules(bit))
+                if (bit or r.resets) and region_satisfies(region, r.guard, self.clocks)
+            ]
+        return self.enabled[key]
+
     def _anchor_events(self, kappa, slot, u):
+        """Crossings, resets and accepts feasible from one anchor.
+
+        reach(v) lists the dwell progressions from u to v: the region's AP
+        table in an open cell, and None (zero dwell) in a point-like region
+        when v lies in u's epsilon closure.  Where the dwell is unconstrained
+        (point-like regions and UR) one progression stands for all and only
+        the first accepting final is kept.
+        """
         region = CHAINS[kappa][slot]
-        if region.is_open_cell():
-            return self._cell_events(kappa, slot, region, CELL_CASE[(kappa, region)], u)
-        return self._point_events(kappa, slot, region, u)
-
-    def _point_events(self, kappa, slot, region, u):
-        closure = reachable([u], self.tables[region]["eps"].__getitem__)
+        case = CELL_CASE.get((kappa, region))
+        if case is None:
+            closure = reachable([u], self.tables[region]["eps"].__getitem__)
+            reach = lambda v: (None,) if v in closure else ()
+        elif case == "UR":
+            reach = lambda v: _gens(self.tables, region, u, v)[:1]
+        else:
+            reach = lambda v: _gens(self.tables, region, u, v)
+        checked = case in CASES  # the gadget checks the dwell, so may need rho
         out = []
         for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
-            target_region = CHAINS[kappa][nxt_slot]
-            for ridx, rule in enumerate(self.b.rules1):
-                if rule.src not in closure or rule.resets:
-                    continue
-                if not region_satisfies(target_region, rule.guard, (self.clock_x, self.clock_y)):
-                    continue
-                out.append(
-                    {
-                        "type": "cross",
-                        "cond": cond,
-                        "rule1": ridx,
-                        "v": rule.src,
-                        "next": (kappa, nxt_slot, rule.dst),
-                    }
-                )
-        out += self._reset_events_point(kappa, region, closure)
+            needs_rho = CASES[case][0] == "N" if checked else None
+            for ridx, rule in self._rules(CHAINS[kappa][nxt_slot], 1):
+                for gen in reach(rule.src):
+                    out.append({
+                        "type": "cross", "cond": cond, **_dwell_keys(gen, needs_rho),
+                        "rule1": ridx, "v": rule.src, "next": (kappa, nxt_slot, rule.dst),
+                    })
+        for ridx, rule in self._rules(region, 0):
+            gens = reach(rule.src)
+            if not gens:
+                continue
+            rk = _reset_key(rule.resets, *self.clocks)
+            style, action, kappa2 = _reset(kappa, region, case, rk)
+            needs_rho = style in ("lock_x_main", "lock_y_mirror") if checked else None
+            for gen in gens:
+                out.append({
+                    "type": "reset", "style": style, "action": action,
+                    **_dwell_keys(gen, needs_rho),
+                    "rule0": ridx, "v": rule.src, "next": (kappa2, 0, rule.dst),
+                })
         for f in sorted(self.b.finals):
-            if f in closure:
-                out.append({"type": "accept", "v": f})
+            gens = reach(f)
+            out += ({"type": "accept", **_dwell_keys(gen), "v": f} for gen in gens)
+            if gens and not checked:
                 break
-        return out
-
-    def _reset_events_point(self, kappa, region, closure):
-        out = []
-        for ridx, rule in enumerate(self.b.rules0):
-            if not rule.resets or rule.src not in closure:
-                continue
-            if not region_satisfies(region, rule.guard, (self.clock_x, self.clock_y)):
-                continue
-            action = POINT_RESET_ACTIONS[region][_reset_key(rule.resets, self.clock_x, self.clock_y)]
-            kappa2 = ACTION_TARGET_KAPPA.get(action, kappa)
-            out.append(
-                {
-                    "type": "reset",
-                    "style": "point",
-                    "action": action,
-                    "rule0": ridx,
-                    "v": rule.src,
-                    "next": (kappa2, 0, rule.dst),
-                }
-            )
-        return out
-
-    def _cell_events(self, kappa, slot, region, case, u):
-        out = []
-        if case == "UR":
-            for ridx, rule in enumerate(self.b.rules0):
-                if not rule.resets:
-                    continue
-                if not region_satisfies(region, rule.guard, (self.clock_x, self.clock_y)):
-                    continue
-                gens = _gens(self.tables, region, u, rule.src)
-                if not gens:
-                    continue
-                rk = _reset_key(rule.resets, self.clock_x, self.clock_y)
-                action = {"y": "plus_sent", "x": "minus_sent", "xy": "zero"}[rk]
-                out.append(
-                    {
-                        "type": "reset",
-                        "style": "ur",
-                        "action": action,
-                        "gen": gens[0],
-                        "rule0": ridx,
-                        "v": rule.src,
-                        "next": (ACTION_TARGET_KAPPA[action], 0, rule.dst),
-                    }
-                )
-            for f in sorted(self.b.finals):
-                gens = _gens(self.tables, region, u, f)
-                if gens:
-                    out.append({"type": "accept", "gen": gens[0], "v": f})
-                    break
-            return out
-
-        needs_rho = CASES[case][0] == "N"
-        for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
-            target_region = CHAINS[kappa][nxt_slot]
-            for ridx, rule in enumerate(self.b.rules1):
-                if rule.resets:
-                    continue
-                if not region_satisfies(target_region, rule.guard, (self.clock_x, self.clock_y)):
-                    continue
-                for gen in _gens(self.tables, region, u, rule.src):
-                    out.append(
-                        {
-                            "type": "cross",
-                            "cond": cond,
-                            "gen": gen,
-                            "needs_rho": needs_rho and gen[1] >= 2,
-                            "rule1": ridx,
-                            "v": rule.src,
-                            "next": (kappa, nxt_slot, rule.dst),
-                        }
-                    )
-        for ridx, rule in enumerate(self.b.rules0):
-            if not rule.resets:
-                continue
-            if not region_satisfies(region, rule.guard, (self.clock_x, self.clock_y)):
-                continue
-            style, action, kappa2 = _cell_reset(case, _reset_key(rule.resets, self.clock_x, self.clock_y))
-            for gen in _gens(self.tables, region, u, rule.src):
-                out.append(
-                    {
-                        "type": "reset",
-                        "style": style,
-                        "action": action,
-                        "gen": gen,
-                        "needs_rho": style in ("lock_x_main", "lock_y_mirror") and gen[1] >= 2,
-                        "rule0": ridx,
-                        "v": rule.src,
-                        "next": (kappa2, 0, rule.dst),
-                    }
-                )
-        for f in sorted(self.b.finals):
-            for gen in _gens(self.tables, region, u, f):
-                out.append({"type": "accept", "gen": gen, "v": f})
         return out
 
     # -- emission ------------------------------------------------------------
@@ -761,7 +703,7 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
         em.edge(entry, AddConst(0), anchors[("Z0", 0, b.initial)])
 
     rules = _resolve_collapses(builder)
-    states, rules = _prune(set(em.names), rules, init, builder.acc)
+    states, rules = _prune(rules, init, builder.acc)
     poca = POCA(
         states=frozenset(states),
         params=frozenset({PARAM}),
@@ -778,7 +720,7 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     )
 
 
-def _prune(states, rules, init, acc):
+def _prune(rules, init, acc):
     """Drop states that cannot lie on any initial-to-accepting state path.
 
     Purely graph-level (counter ignored), so it preserves acceptance per
@@ -811,7 +753,7 @@ def _emit_small_branch(builder, init, k):
     b = builder.b
     em = builder.em
     cap = k + 1
-    cx, cy = builder.clock_x, builder.clock_y
+    cx, cy = builder.clocks
     entry = em.fresh({"role": "small", "n": k})
     em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
 

@@ -48,9 +48,6 @@ class Region(enum.Enum):
     def y_class(self) -> int:
         return self.value[1]
 
-    def is_open_cell(self) -> bool:
-        return self.x_class in (MID, HIGH) and self.y_class in (MID, HIGH)
-
     def empty_for(self, n: int) -> bool:
         """Whether the region is the empty set at parameter value n."""
         return n == 1 and MID in self.value

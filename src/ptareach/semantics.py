@@ -2,9 +2,10 @@
 
 Every reduction pass in this package is validated against the step
 functions and explicit-state searches defined here.  These searches, and
-those of the 0/1 product, the POCA construction and the solver's audit, run
-on one breadth-first kernel (``shortest_path``, ``reachable``), so returned
-witnesses are shortest, which keeps golden outputs stable.
+those of the 0/1 product, the POCA construction, the arithmetic-progression
+tables and the solver's audit, run on one breadth-first kernel
+(``shortest_path``, ``reachable``), so returned witnesses are shortest, which
+keeps golden outputs stable.
 """
 
 from __future__ import annotations

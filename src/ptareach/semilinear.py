@@ -17,11 +17,10 @@ contain an excisable cycle-multiple on one side of its s-visit.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import POCA, AddConst
+from .semantics import reachable, shortest_path
 
 
 class CapViolation(Exception):
@@ -117,18 +116,7 @@ def letter_graph(oca: POCA):
         target = ones if rule.op.value == 1 else eps
         target.setdefault(rule.src, set()).add(rule.dst)
 
-    eps_reach = {}
-    for s in oca.states:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in eps.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        eps_reach[s] = seen
-
+    eps_reach = {s: reachable([s], lambda u: eps.get(u, ())) for s in oca.states}
     succ = {
         s: {w for u in eps_reach[s] for w in ones.get(u, ())} for s in oca.states
     }
@@ -137,72 +125,47 @@ def letter_graph(oca: POCA):
 
 def _restrict(succ, sources, accept):
     """States reachable from the sources and co-reachable to the accept set."""
-    fwd = set(sources)
-    queue = deque(fwd)
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in fwd:
-                fwd.add(v)
-                queue.append(v)
+    fwd = reachable(sources, succ.__getitem__)
     pred = {}
     for u in fwd:
         for v in succ[u]:
-            if v in fwd:
-                pred.setdefault(v, set()).add(u)
-    bwd = set(accept) & fwd
-    queue = deque(bwd)
-    while queue:
-        v = queue.popleft()
-        for u in pred.get(v, ()):
-            if u not in bwd:
-                bwd.add(u)
-                queue.append(u)
-    return fwd & bwd
+            pred.setdefault(v, []).append(u)
+    return reachable(accept & fwd, lambda v: pred.get(v, ()))
 
 
-def _shortest_cycle_lengths(succ, nodes) -> dict:
-    """Length of the shortest letter-cycle through each node (absent if none)."""
+def _shortest_cycle_lengths(edges) -> dict:
+    """Length of the shortest letter-cycle through each node (absent if none).
+
+    The search starts from a virtual node None whose successors are those
+    of s, and stops when it reaches s.
+    """
     out = {}
-    for s in nodes:
-        dist = {s: 0}
-        queue = deque([s])
-        best = None
-        while queue:
-            u = queue.popleft()
-            for v in succ[u]:
-                if v == s:
-                    cand = dist[u] + 1
-                    best = cand if best is None else min(best, cand)
-                elif v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if best is not None:
-            out[s] = best
+    for s in edges:
+        found = shortest_path(
+            None, lambda u: ((None, v) for v in edges[s if u is None else u]), lambda u: u == s
+        )
+        if found is not None:
+            out[s] = len(found[1])
     return out
 
 
-def _min_weight_per_residue(edges, start_set, modulus, node_set):
-    """Minimal letter-walk weight per (node, weight mod modulus) class."""
-    dist = {}
-    heap = []
-    for s in start_set:
-        if s in node_set and (s, 0) not in dist:
-            dist[(s, 0)] = 0
-            heap.append((0, s, 0))
-    heapq.heapify(heap)
-    while heap:
-        d, u, r = heapq.heappop(heap)
-        if dist.get((u, r)) != d:
-            continue
-        r2 = (r + 1) % modulus
+def _min_weight_per_residue(edges, start_set, modulus) -> dict:
+    """Minimal letter-walk weight per (node, weight mod modulus) class.
+
+    Every letter weighs 1, so breadth-first order reaches each class first
+    at its minimal weight.
+    """
+    dist = {(s, 0): 0 for s in start_set}
+
+    def successors(key):
+        u, r = key
+        d = dist[key] + 1
         for v in edges[u]:
-            if v not in node_set:
-                continue
-            key = (v, r2)
-            if d + 1 < dist.get(key, float("inf")):
-                dist[key] = d + 1
-                heapq.heappush(heap, (d + 1, v, r2))
+            nxt = (v, (r + 1) % modulus)
+            dist.setdefault(nxt, d)
+            yield nxt
+
+    reachable(list(dist), successors)
     return dist
 
 
@@ -226,34 +189,30 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     relevant = _restrict(succ, {source}, accept)
     if source not in relevant:
         return APSet.from_pairs(())
+    edges = {u: {v for v in succ[u] if v in relevant} for u in relevant}
 
     # Membership for weights below |relevant|, by layered subset search.  A
     # longer accepted walk revisits a relevant state v, which then lies on a
     # cycle; the progression built below for v at the walk's residue has an
     # offset no larger than the walk's weight, so it covers that weight.
-    singles = []
+    pairs = []
     layer = {source}
     for t in range(len(relevant)):
         if layer & accept:
-            singles.append((t, 0))
-        layer = {v for u in layer for v in succ[u] if v in relevant}
+            pairs.append((t, 0))
+        layer = {v for u in layer for v in edges[u]}
         if not layer:
             break
 
-    cycle_len = _shortest_cycle_lengths(
-        {u: {v for v in succ[u] if v in relevant} for u in relevant}, relevant
-    )
-
-    pairs = list(singles)
-    edges = {u: {v for v in succ[u] if v in relevant} for u in relevant}
+    cycle_len = _shortest_cycle_lengths(edges)
     redges = {u: set() for u in relevant}
     for u in relevant:
         for v in edges[u]:
             redges[v].add(u)
 
-    for b in sorted({b for b in cycle_len.values()}):
-        fwd = _min_weight_per_residue(edges, {source}, b, relevant)
-        bwd = _min_weight_per_residue(redges, accept & relevant, b, relevant)
+    for b in sorted(set(cycle_len.values())):
+        fwd = _min_weight_per_residue(edges, {source}, b)
+        bwd = _min_weight_per_residue(redges, accept & relevant, b)
         for s, b_s in cycle_len.items():
             if b_s != b:
                 continue

@@ -157,6 +157,22 @@ def test_depump_subcommand(tmp_path, capsys):
     assert payload["delta_before"] - payload["delta_after"] == 2  # Gamma = LCM(2) * 1
 
 
+def test_reduce_region_stage(fixture_dir, capsys):
+    pta = str(fixture_dir / "even.json")
+    assert main(["reduce", "--stage", "region", "--pta", pta, "--region", "LOWER_LEFT"]) == 0
+    b_r = serialize.loads(capsys.readouterr().out)
+    assert not any(r.resets for r in b_r.rules0 + b_r.rules1)
+    # A missing region names the flag; an unknown one is refused by the
+    # parser with the valid names.  Both exit 2.
+    assert main(["reduce", "--stage", "region", "--pta", pta]) == 2
+    assert "--region" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--stage", "region", "--pta", pta, "--region", "FOO"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--region" in err and "invalid choice" in err and "UPPER_RIGHT" in err
+
+
 def test_constants_subcommand(fixture_dir, capsys):
     assert main(["constants", "--poca", str(fixture_dir / "poca_mod6.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -88,6 +88,44 @@ def test_region_tables_built_on_first_use(monkeypatch):
     assert 0 < len(calls["region_oca"]) < len(regions)
 
 
+def test_each_rule_classified_once_per_region(monkeypatch):
+    # The anchor walker reads a per-build table of the rules enabled in each
+    # region, so a guard is checked against a region at most once per rule
+    # carrying it, however many anchors the region holds.  Region tables
+    # stay lazy on a random draw too.
+    from collections import Counter
+
+    from ptareach import poca_build
+
+    calls = {"region_satisfies": Counter(), "region_automaton": [], "region_oca": []}
+
+    def classify(region, guard, clock_order, _fn=poca_build.region_satisfies):
+        calls["region_satisfies"][region, guard] += 1
+        return _fn(region, guard, clock_order)
+
+    monkeypatch.setattr(poca_build, "region_satisfies", classify)
+    for name in ("region_automaton", "region_oca"):
+        def wrapped(*args, _fn=getattr(poca_build, name), _seen=calls[name]):
+            _seen.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(poca_build, name, wrapped)
+    even = next(f for f in fixture_corpus() if f.name == "even").pta
+    rng = random.Random(20260809)
+    r6 = [random_two_one_pta(rng, max_states=3) for _ in range(7)][-1]  # acceptance draw r6
+    for pta in (even, r6):
+        for seen in calls.values():
+            seen.clear()
+        b = to_zero_one_pta(pta)
+        build_poca(b)
+        carriers = Counter(r.guard for r in b.rules0 + b.rules1)
+        classified = calls["region_satisfies"]
+        assert classified and all(k <= carriers[g] for (_, g), k in classified.items())
+        regions = [region for _, region in calls["region_automaton"]]
+        assert len(set(regions)) == len(regions) < 16
+        assert 0 < len(calls["region_oca"]) < len(regions)
+
+
 def test_fixture_equivalence_per_parameter_value():
     for fx in fixture_corpus():
         c_max = max(fx.pta.consts(), default=0)

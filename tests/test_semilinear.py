@@ -1,18 +1,24 @@
 """Arithmetic-progression reachability sets for +0/+1 counter automata."""
 
+import heapq
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ptareach.automata import POCA, AddConst, AddParam, PocaRule
+from ptareach.fixtures import random_unary_oca
 from ptareach.semilinear import (
     APSet,
+    _min_weight_per_residue,
     _normalize,
+    _shortest_cycle_lengths,
     apset_contains_zero,
     apset_member,
+    letter_graph,
     reach_lengths,
 )
 
@@ -213,3 +219,107 @@ def test_eventual_periodicity_witness():
         start = s.max_offset() + 1
         for t in range(start, start + 2 * wheel):
             assert apset_member(s, t) == apset_member(s, t + wheel)
+
+
+# Reference copies of the hand-written searches reach_lengths used before it
+# ran on the breadth-first kernel: a per-node BFS for the shortest cycles and
+# Dijkstra over (node, weight residue) for the least weights.
+
+
+def _reference_cycle_lengths(edges) -> dict:
+    out = {}
+    for s in edges:
+        dist = {s: 0}
+        queue = deque([s])
+        best = None
+        while queue:
+            u = queue.popleft()
+            for v in edges[u]:
+                if v == s:
+                    best = dist[u] + 1 if best is None else min(best, dist[u] + 1)
+                elif v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if best is not None:
+            out[s] = best
+    return out
+
+
+def _reference_min_weights(edges, start_set, modulus) -> dict:
+    dist = {(s, 0): 0 for s in start_set}
+    heap = [(0, s, 0) for s in start_set]
+    heapq.heapify(heap)
+    while heap:
+        d, u, r = heapq.heappop(heap)
+        if dist.get((u, r)) != d:
+            continue
+        for v in edges[u]:
+            key = (v, (r + 1) % modulus)
+            if d + 1 < dist.get(key, float("inf")):
+                dist[key] = d + 1
+                heapq.heappush(heap, (d + 1, v, key[1]))
+    return dist
+
+
+def _reference_reach_lengths(oca, source, target) -> tuple:
+    succ, eps_reach = letter_graph(oca)
+    accept = {s for s in oca.states if target in eps_reach[s]}
+    fwd, stack = {source}, [source]
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in fwd:
+                fwd.add(v)
+                stack.append(v)
+    relevant, stack = set(accept & fwd), list(accept & fwd)
+    while stack:
+        v = stack.pop()
+        for u in fwd:
+            if v in succ[u] and u not in relevant:
+                relevant.add(u)
+                stack.append(u)
+    if source not in relevant:
+        return ()
+    edges = {u: succ[u] & relevant for u in relevant}
+    redges = {v: {u for u in relevant if v in edges[u]} for v in relevant}
+    pairs, layer = [], {source}
+    for t in range(len(relevant)):
+        if layer & accept:
+            pairs.append((t, 0))
+        layer = {v for u in layer for v in edges[u]}
+    cycle_len = _reference_cycle_lengths(edges)
+    for b in set(cycle_len.values()):
+        fwd_w = _reference_min_weights(edges, {source}, b)
+        bwd_w = _reference_min_weights(redges, accept & relevant, b)
+        for s in (s for s, b_s in cycle_len.items() if b_s == b):
+            for rho in range(b):
+                sums = [
+                    fwd_w[s, r1] + bwd_w[s, (rho - r1) % b]
+                    for r1 in range(b)
+                    if (s, r1) in fwd_w and (s, (rho - r1) % b) in bwd_w
+                ]
+                if sums:
+                    pairs.append((min(sums), b))
+    return _normalize(pairs)
+
+
+def test_kernel_searches_match_reference_searches():
+    # Every letter weighs 1, so breadth-first distances equal Dijkstra's:
+    # the kernel-based helpers and reach_lengths must agree exactly with
+    # the reference copies, on every (source, target) pair of each draw.
+    rng = random.Random(8086)
+    compared = 0
+    for _ in range(150):
+        oca = random_unary_oca(rng, max_states=8)
+        succ, _ = graph = letter_graph(oca)
+        assert _shortest_cycle_lengths(succ) == _reference_cycle_lengths(succ)
+        for b in (1, 2, 3, 5):
+            for start in ({"s0"}, set(oca.states)):
+                assert _min_weight_per_residue(succ, start, b) == _reference_min_weights(
+                    succ, start, b
+                )
+        for source in sorted(oca.states):
+            for target in sorted(oca.states):
+                got = reach_lengths(oca, source, target, graph).pairs
+                assert got == _reference_reach_lengths(oca, source, target), (oca, source, target)
+                compared += bool(got)
+    assert compared > 500

@@ -16,3 +16,22 @@ def test_library_has_no_asserts():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_kernel_keeps_a_queue():
+    # Searches run on the kernel in semantics (shortest_path, reachable);
+    # a module importing a queue or a heap is writing its own.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "semantics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names} | {node.module}
+            else:
+                continue
+            if names & {"heapq", "collections.deque"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
