@@ -133,15 +133,28 @@ class PtaRule:
         object.__setattr__(self, "resets", frozenset(self.resets))
 
 
-def _check_rule(rule: PtaRule, states, clocks, params) -> None:
-    if rule.src not in states or rule.dst not in states:
-        raise ValueError(f"rule endpoint not a declared state: {rule}")
-    if rule.guard.clock not in clocks:
-        raise ValueError(f"guard clock not declared: {rule.guard}")
-    if rule.guard.parametric and rule.guard.rhs not in params:
-        raise ValueError(f"guard parameter not declared: {rule.guard}")
-    if not rule.resets <= frozenset(clocks):
-        raise ValueError(f"reset set mentions undeclared clock: {rule}")
+def _freeze_clock_automaton(a, rule_fields: tuple) -> None:
+    """Freeze a PTA's or 0/1-PTA's fields and check every declaration."""
+    for name in ("states", "clocks", "params", "finals"):
+        object.__setattr__(a, name, frozenset(getattr(a, name)))
+    for name in rule_fields:
+        object.__setattr__(a, name, tuple(getattr(a, name)))
+    if not a.states or not a.clocks:
+        raise ValueError(f"{type(a).__name__} needs a non-empty state set and clock set")
+    if a.initial not in a.states:
+        raise ValueError("initial state not declared")
+    if not a.finals <= a.states:
+        raise ValueError("final states must be declared states")
+    for name in rule_fields:
+        for rule in getattr(a, name):
+            if rule.src not in a.states or rule.dst not in a.states:
+                raise ValueError(f"rule endpoint not a declared state: {rule}")
+            if rule.guard.clock not in a.clocks:
+                raise ValueError(f"guard clock not declared: {rule.guard}")
+            if rule.guard.parametric and rule.guard.rhs not in a.params:
+                raise ValueError(f"guard parameter not declared: {rule.guard}")
+            if not rule.resets <= a.clocks:
+                raise ValueError(f"reset set mentions undeclared clock: {rule}")
 
 
 @dataclass(frozen=True)
@@ -156,19 +169,7 @@ class PTA:
     finals: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "clocks", frozenset(self.clocks))
-        object.__setattr__(self, "params", frozenset(self.params))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        if not self.states or not self.clocks:
-            raise ValueError("PTA needs a non-empty state set and clock set")
-        if self.initial not in self.states:
-            raise ValueError("initial state not declared")
-        if not self.finals <= self.states:
-            raise ValueError("final states must be declared states")
-        for rule in self.rules:
-            _check_rule(rule, self.states, self.clocks, self.params)
+        _freeze_clock_automaton(self, ("rules",))
 
     def parametric_clocks(self) -> frozenset:
         """Clocks compared against a parameter in at least one rule."""
@@ -208,20 +209,7 @@ class ZeroOnePTA:
     finals: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "clocks", frozenset(self.clocks))
-        object.__setattr__(self, "params", frozenset(self.params))
-        object.__setattr__(self, "rules0", tuple(self.rules0))
-        object.__setattr__(self, "rules1", tuple(self.rules1))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        if not self.states or not self.clocks:
-            raise ValueError("0/1-PTA needs non-empty state and clock sets")
-        if self.initial not in self.states:
-            raise ValueError("initial state not declared")
-        if not self.finals <= self.states:
-            raise ValueError("final states must be declared states")
-        for rule in self.rules0 + self.rules1:
-            _check_rule(rule, self.states, self.clocks, self.params)
+        _freeze_clock_automaton(self, ("rules0", "rules1"))
 
     def rules(self, i: int) -> tuple:
         if i == 0:

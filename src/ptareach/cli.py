@@ -12,11 +12,10 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .automata import DerivedConstants, derive_constants
+from .automata import POCA, PTA, DerivedConstants, ZeroOnePTA, derive_constants
 from .fixtures import fixture_corpus, poca_mod6_fixture
 from .poca_build import build_poca, normalize_accepting_zero
 from .regions import Region, region_automaton, region_of
-from .automata import PTA
 from .semantics import (
     Run,
     poca_reach_bounded,
@@ -30,8 +29,13 @@ from .solver import cross_check, decide
 from .zero_one import to_zero_one_pta
 
 
-def _load_automaton(path: str):
-    return serialize.loads(Path(path).read_text())
+def _load_automaton(path: str, *kinds):
+    """Parse an automaton file; if kinds are given, it must be one of them."""
+    automaton = serialize.loads(Path(path).read_text())
+    if kinds and not isinstance(automaton, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{path}: expected a {expected}, found a {type(automaton).__name__}")
+    return automaton
 
 
 def _dec(n: int) -> str:
@@ -69,7 +73,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    pta = _load_automaton(args.pta)
+    kinds = (PTA, ZeroOnePTA) if args.stage == "region" else (PTA,)
+    pta = _load_automaton(args.pta, *kinds)
     if args.stage == "zero-one":
         out = to_zero_one_pta(pta)
         payload = serialize.dumps(out)
@@ -106,7 +111,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_semilinear(args) -> int:
-    oca = _load_automaton(args.oca)
+    oca = _load_automaton(args.oca, POCA)
     result = reach_lengths(oca, getattr(args, "from"), args.to)
     _emit(
         {"from": getattr(args, "from"), "to": args.to, "pairs": list(result.pairs)},
@@ -116,7 +121,7 @@ def _cmd_semilinear(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    pta = _load_automaton(args.pta)
+    pta = _load_automaton(args.pta, PTA)
     # "both" reports the via-poca verdict after checking it per N against
     # the direct oracle.
     mode = "via-poca" if args.mode == "both" else args.mode
@@ -145,16 +150,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     automaton = _load_automaton(args.automaton)
-    kind = automaton.__class__.__name__
-    if kind == "PTA":
-        cap = args.cap or max(args.param, max(automaton.consts(), default=0)) + 1
-        run = pta_reach_bruteforce(automaton, args.param, cap)
-    elif kind == "ZeroOnePTA":
-        cap = args.cap or max(args.param, max(automaton.consts(), default=0)) + 1
-        run = zero_one_reach_bruteforce(automaton, args.param, cap)
-    else:
+    if isinstance(automaton, POCA):
         hi = args.cap or 4 * max(args.param, automaton.size())
         run = poca_reach_bounded(automaton, args.param, -hi, hi)
+    else:
+        oracle = pta_reach_bruteforce if isinstance(automaton, PTA) else zero_one_reach_bruteforce
+        cap = args.cap or max(args.param, max(automaton.consts(), default=0)) + 1
+        run = oracle(automaton, args.param, cap)
     if run is None:
         _emit({"reachable": False, "param": args.param}, args.json)
         return 1
@@ -176,7 +178,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_depump(args) -> int:
-    poca = _load_automaton(args.automaton)
+    poca = _load_automaton(args.automaton, POCA)
     run = serialize.run_from_obj(json.loads(Path(args.run).read_text()))
     overrides = json.loads(Path(args.consts).read_text())
     consts = DerivedConstants.scaled(
@@ -224,7 +226,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    poca = _load_automaton(args.poca)
+    poca = _load_automaton(args.poca, POCA)
     dc = derive_constants(poca)
     _emit(
         {"Z": _dec(dc.z), "Gamma": _dec(dc.gamma), "Upsilon": _dec(dc.upsilon), "M": _dec(dc.m)},

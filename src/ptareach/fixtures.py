@@ -286,14 +286,4 @@ def random_semirun(poca: POCA, n: int, rng, max_len: int = 40, start: int = 0):
                 break
         else:
             break
-    if not rules:
-        # fall back to any applicable rule to keep the semirun non-empty
-        for i, rule in enumerate(poca.rules):
-            if rule.src != configs[-1].state:
-                continue
-            out = semitransition_step(poca, n, configs[-1], rule)
-            if out is not None:
-                configs.append(out)
-                rules.append(i)
-                break
     return Semirun(poca, n, tuple(configs), tuple(rules))

@@ -811,13 +811,7 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
     the region chain, gadget annotations, and counter values determine the
     dwell times, from which concrete region paths are rebuilt.
     """
-    from .semantics import (
-        PtaConfiguration,
-        Run,
-        validate_run,
-        zero_one_reach_bruteforce,
-        zero_one_step,
-    )
+    from .semantics import PtaConfiguration, Run, _label_step, zero_one_reach_bruteforce
 
     b = result.source
     states = [c.state for c in run.configs]
@@ -836,18 +830,16 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
 
     configs = [PtaConfiguration.make(b.initial, {cx: 0, cy: 0})]
     labels = []
-
-    all_rules = b.rules0 + b.rules1
+    step = _label_step(b, n)
 
     def extend(rule_global_idx, bit):
-        rule = all_rules[rule_global_idx]
-        nxt = zero_one_step(b, n, configs[-1], rule, bit)
+        nxt = step(configs[-1], (rule_global_idx, bit))
         if nxt is None:
             raise DecodeError(f"decoded step failed replay at rule {rule_global_idx}")
         configs.append(nxt)
         labels.append((rule_global_idx, bit))
 
-    def dwell(region, u, v, steps):
+    def dwell(u, v, steps):
         """Append a region path from u to v using exactly `steps` time rules."""
         start = configs[-1]
         if start.state != u:
@@ -880,13 +872,13 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
                 steps = _traverse_dwell(case, z_before, n)
             else:
                 steps = 0
-            dwell(region, u, ev["v"], steps)
+            dwell(u, ev["v"], steps)
             extend(len(b.rules0) + ev["rule1"], 1)
             continue
 
         if ev["type"] == "accept":
             steps = ev["gen"][0] if "gen" in ev else 0
-            dwell(region, u, ev["v"], steps)
+            dwell(u, ev["v"], steps)
             break
 
         style = ev["style"]
@@ -905,13 +897,12 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
             steps = 0
         else:  # ur / exist_then use the minimal progression element
             steps = ev["gen"][0] if "gen" in ev else 0
-        dwell(region, u, ev["v"], steps)
+        dwell(u, ev["v"], steps)
         extend(ev["rule0"], 0)
 
+    # Every step went through the exact stepper in extend, so the run is
+    # valid by construction; only acceptance is left to check.
     decoded = Run("zero-one-pta", tuple(configs), tuple(labels))
-    ok, idx = validate_run(decoded, b, n)
-    if not ok:
-        raise DecodeError(f"decoded run failed validation at step {idx}")
     if decoded.configs[-1].state not in b.finals:
         raise DecodeError("decoded run does not end in a final state")
     return decoded

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .automata import POCA, AddConst, Guard, PocaRule, PtaRule, ZeroOnePTA
+from .automata import POCA, AddConst, Guard, PocaRule, PtaRule, ZeroOnePTA, cmp_holds
 
 # Coordinate classes (per axis)
 ZERO, MID, AT_N, HIGH = range(4)
@@ -81,24 +81,12 @@ def region_of(v: tuple, n: int) -> Region:
 def _class_satisfies(klass: int, cmp: str, against_param: bool) -> bool:
     """Truth of ``coordinate cmp rhs`` for rhs = 0 or rhs = N, any N >= 1.
 
+    The class codes ZERO..HIGH = 0..3 are members of their own classes at
+    N = 2, so comparing the code with 0 or with AT_N = 2 decides the class.
     Empty classes (MID at N = 1) are treated vacuously by their defining
     inequalities 0 < value < N.
     """
-    if against_param:  # compare against N
-        if klass == ZERO:
-            truth = {"<": True, "<=": True, "=": False, ">=": False, ">": False}
-        elif klass == MID:
-            truth = {"<": True, "<=": True, "=": False, ">=": False, ">": False}
-        elif klass == AT_N:
-            truth = {"<": False, "<=": True, "=": True, ">=": True, ">": False}
-        else:
-            truth = {"<": False, "<=": False, "=": False, ">=": True, ">": True}
-    else:  # compare against 0
-        if klass == ZERO:
-            truth = {"<": False, "<=": True, "=": True, ">=": True, ">": False}
-        else:
-            truth = {"<": False, "<=": False, "=": False, ">=": True, ">": True}
-    return truth[cmp]
+    return cmp_holds(klass, cmp, AT_N if against_param else ZERO)
 
 
 def region_satisfies(region: Region, guard: Guard, clock_order: tuple = ("x", "y")) -> bool:

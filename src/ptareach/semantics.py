@@ -29,6 +29,10 @@ from .automata import (
 )
 
 
+# The run kind of each automaton class, as ``Run.kind`` and the JSON "kind" spell it.
+_RUN_KINDS = {PTA: "pta", ZeroOnePTA: "zero-one-pta", POCA: "poca"}
+
+
 @dataclass(frozen=True)
 class PtaConfiguration:
     state: str
@@ -71,7 +75,7 @@ class Run:
     def __post_init__(self):
         if len(self.configs) != len(self.labels) + 1:
             raise ValueError("a run needs exactly one more config than labels")
-        if self.kind not in ("pta", "zero-one-pta", "poca"):
+        if self.kind not in _RUN_KINDS.values():
             raise ValueError(f"unknown run kind: {self.kind}")
 
     def __len__(self):
@@ -106,6 +110,26 @@ class Run:
 # ---------------------------------------------------------------------------
 
 
+def _clock_step(rule: PtaRule, n: int, valuation: tuple, delay: int) -> Optional[dict]:
+    """Wait delay, test the rule's guard, reset: the valuation dict after, or None."""
+    advanced = {c: v + delay for c, v in valuation}
+    if not rule.guard.holds(advanced[rule.guard.clock], n):
+        return None
+    for c in rule.resets:
+        advanced[c] = 0
+    return advanced
+
+
+def _clock_config_step(a, n: int, conf: PtaConfiguration, rule: PtaRule, delay: int):
+    """The clock step of a PTA or 0/1-PTA from a configuration; None on guard violation."""
+    if rule.src != conf.state:
+        raise ValueError("rule source does not match the configuration")
+    if {c for c, _ in conf.valuation} != a.clocks:
+        raise ValueError("valuation must be total over the clock set")
+    vals = _clock_step(rule, n, conf.valuation, delay)
+    return None if vals is None else PtaConfiguration.make(rule.dst, vals)
+
+
 def pta_step(
     pta: PTA, n: int, conf: PtaConfiguration, rule: PtaRule, delay: int
 ) -> Optional[PtaConfiguration]:
@@ -114,15 +138,7 @@ def pta_step(
         raise ValueError("rule does not belong to the automaton")
     if delay < 0:
         raise ValueError("delay must be non-negative")
-    vals = conf.as_dict()
-    if set(vals) != set(pta.clocks):
-        raise ValueError("valuation must be total over the clock set")
-    advanced = {c: v + delay for c, v in vals.items()}
-    if not rule.guard.holds(advanced[rule.guard.clock], n):
-        return None
-    for c in rule.resets:
-        advanced[c] = 0
-    return PtaConfiguration.make(rule.dst, advanced)
+    return _clock_config_step(pta, n, conf, rule, delay)
 
 
 def zero_one_step(
@@ -133,15 +149,7 @@ def zero_one_step(
         raise ValueError("time bit must be 0 or 1")
     if rule not in b.rules(i):
         raise ValueError("rule does not belong to the indicated rule set")
-    vals = conf.as_dict()
-    if set(vals) != set(b.clocks):
-        raise ValueError("valuation must be total over the clock set")
-    advanced = {c: v + i for c, v in vals.items()}
-    if not rule.guard.holds(advanced[rule.guard.clock], n):
-        return None
-    for c in rule.resets:
-        advanced[c] = 0
-    return PtaConfiguration.make(rule.dst, advanced)
+    return _clock_config_step(b, n, conf, rule, i)
 
 
 def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[int]:
@@ -163,16 +171,22 @@ def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[i
     raise ValueError(f"unknown counter operation: {op!r}")
 
 
+def _counter_step(
+    n: int, conf: PocaConfiguration, rule: PocaRule, enforce_comparisons: bool
+) -> Optional[PocaConfiguration]:
+    if rule.src != conf.state:
+        raise ValueError("rule source does not match the configuration")
+    z = apply_op(rule.op, n, conf.counter, enforce_comparisons)
+    return None if z is None else PocaConfiguration(rule.dst, z)
+
+
 def poca_step(
     poca: POCA, n: int, conf: PocaConfiguration, rule: PocaRule
 ) -> Optional[PocaConfiguration]:
     """One POCA transition; None on test violation."""
     if rule not in poca.rules:
         raise ValueError("rule does not belong to the automaton")
-    if rule.src != conf.state:
-        raise ValueError("rule source does not match the configuration")
-    z = apply_op(rule.op, n, conf.counter)
-    return None if z is None else PocaConfiguration(rule.dst, z)
+    return _counter_step(n, conf, rule, True)
 
 
 def semitransition_step(
@@ -181,10 +195,65 @@ def semitransition_step(
     """Like poca_step but comparison tests always pass; modulo still enforced."""
     if rule not in poca.rules:
         raise ValueError("rule does not belong to the automaton")
-    if rule.src != conf.state:
-        raise ValueError("rule source does not match the configuration")
-    z = apply_op(rule.op, n, conf.counter, enforce_comparisons=False)
-    return None if z is None else PocaConfiguration(rule.dst, z)
+    return _counter_step(n, conf, rule, False)
+
+
+def _label_step(automaton, n: int, enforce_comparisons: bool = True):
+    """The exact step of one run label: step(conf, label) -> next conf or None.
+
+    The label names its rule by index into the automaton's rule tuple
+    (``rules0 + rules1`` for a 0/1-PTA).  ValueError for an index outside
+    that tuple, a negative delay, a 0/1 time bit naming the other rule set,
+    or a rule that does not leave the configuration's state.
+    """
+    zero_one = isinstance(automaton, ZeroOnePTA)
+    rules = automaton.rules0 + automaton.rules1 if zero_one else automaton.rules
+    outside = "rule index {} outside 0..{}"
+
+    if isinstance(automaton, POCA):
+        def step(conf, idx):
+            if not 0 <= idx < len(rules):
+                raise ValueError(outside.format(idx, len(rules) - 1))
+            return _counter_step(n, conf, rules[idx], enforce_comparisons)
+
+        return step
+
+    def step(conf, label):
+        idx, delay = label
+        if not 0 <= idx < len(rules):
+            raise ValueError(outside.format(idx, len(rules) - 1))
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        if zero_one and delay != (0 if idx < len(automaton.rules0) else 1):
+            raise ValueError(f"time bit {delay} does not match the rule set of rule {idx}")
+        return _clock_config_step(automaton, n, conf, rules[idx], delay)
+
+    return step
+
+
+def _replay(automaton, n: int, start, labels) -> Run:
+    """The run that labels drive from start under exact semantics."""
+    step = _label_step(automaton, n)
+    configs = [start]
+    for label in labels:
+        conf = step(configs[-1], label)
+        if conf is None:
+            raise RuntimeError("witness failed exact replay")
+        configs.append(conf)
+    return Run(_RUN_KINDS[type(automaton)], tuple(configs), tuple(labels))
+
+
+def _check_labels(automaton, n: int, configs: tuple, labels: tuple, enforce_comparisons=True):
+    """(True, None) if every label steps configs[i] to configs[i + 1], else (False, i)."""
+    step = _label_step(automaton, n, enforce_comparisons)
+    for i, label in enumerate(labels):
+        try:
+            nxt = step(configs[i], label)
+        except ValueError:
+            return (False, i)
+        if nxt is None or nxt != configs[i + 1]:
+            return (False, i)
+    return (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +317,20 @@ def _saturate(vals: dict, cap: int) -> tuple:
     return tuple(sorted((c, min(v, cap)) for c, v in vals.items()))
 
 
-def _replay(kind: str, start: PtaConfiguration, labels: list, step) -> Run:
-    """Replay the labels of a saturated search under exact semantics."""
-    configs = [start]
-    for label in labels:
-        conf = step(configs[-1], *label)
-        if conf is None:
-            raise RuntimeError("saturated witness failed exact replay")
-        configs.append(conf)
-    return Run(kind, tuple(configs), tuple(labels))
+def _oracle(a, n: int, clock_cap: int, successors) -> Optional[Run]:
+    """Search a PTA or 0/1-PTA from the zero valuation to a final state, then replay.
+
+    successors(node) yields (label, saturated node) pairs; the labels of a
+    shortest accepting path are replayed under exact semantics.
+    """
+    needed = max(n, max(a.consts(), default=0)) + 1
+    if clock_cap < needed:
+        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
+    start = PtaConfiguration.make(a.initial, {c: 0 for c in a.clocks})
+    found = shortest_path(
+        (start.state, start.valuation), successors, lambda node: node[0] in a.finals
+    )
+    return None if found is None else _replay(a, n, start, found[1])
 
 
 def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
@@ -266,10 +340,6 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
     replayed under exact semantics, which is sound because no guard can
     distinguish values >= clock_cap when clock_cap > max(n, max consts).
     """
-    consts = pta.consts()
-    needed = max(n, max(consts, default=0)) + 1
-    if clock_cap < needed:
-        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
 
     def successors(node):
         state, vals = node
@@ -277,23 +347,11 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
             if rule.src != state:
                 continue
             for delay in range(clock_cap + 1):
-                advanced = {c: min(v + delay, clock_cap) for c, v in vals}
-                if not rule.guard.holds(advanced[rule.guard.clock], n):
-                    continue
-                for c in rule.resets:
-                    advanced[c] = 0
-                yield (ridx, delay), (rule.dst, _saturate(advanced, clock_cap))
+                advanced = _clock_step(rule, n, vals, delay)
+                if advanced is not None:
+                    yield (ridx, delay), (rule.dst, _saturate(advanced, clock_cap))
 
-    start = PtaConfiguration.make(pta.initial, {c: 0 for c in pta.clocks})
-    found = shortest_path(
-        (start.state, start.valuation), successors, lambda node: node[0] in pta.finals
-    )
-    if found is None:
-        return None
-    return _replay(
-        "pta", start, found[1],
-        lambda conf, ridx, delay: pta_step(pta, n, conf, pta.rules[ridx], delay),
-    )
+    return _oracle(pta, n, clock_cap, successors)
 
 
 def zero_one_successors(
@@ -312,25 +370,18 @@ def zero_one_successors(
     """
     state, vals = node
     for i, offset in ((0, 0), (1, len(b.rules0))):
+        if coord_cap is not None and max((v + i for _, v in vals), default=0) > coord_cap:
+            continue
         for j, rule in enumerate(b.rules(i)):
             if rule.src != state or (rule_filter is not None and not rule_filter(rule)):
                 continue
-            advanced = {c: v + i for c, v in vals}
-            if coord_cap is not None and max(advanced.values(), default=0) > coord_cap:
-                continue
-            if not rule.guard.holds(advanced[rule.guard.clock], n):
-                continue
-            for c in rule.resets:
-                advanced[c] = 0
-            yield (offset + j, i), rule.dst, advanced
+            advanced = _clock_step(rule, n, vals, i)
+            if advanced is not None:
+                yield (offset + j, i), rule.dst, advanced
 
 
 def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional[Run]:
     """BFS reachability for a 0/1-PTA with clock saturation at clock_cap."""
-    consts = {c for c in b.consts()}
-    needed = max(n, max(consts, default=0)) + 1
-    if clock_cap < needed:
-        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
 
     # Guards read the unsaturated value, at most clock_cap + 1: no guard
     # constant reaches clock_cap, so that agrees with the saturated one.
@@ -338,17 +389,7 @@ def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional
         for label, dst, vals in zero_one_successors(b, n, node):
             yield label, (dst, _saturate(vals, clock_cap))
 
-    start = PtaConfiguration.make(b.initial, {c: 0 for c in b.clocks})
-    found = shortest_path(
-        (start.state, start.valuation), successors, lambda node: node[0] in b.finals
-    )
-    if found is None:
-        return None
-    all_rules = b.rules0 + b.rules1
-    return _replay(
-        "zero-one-pta", start, found[1],
-        lambda conf, ridx, i: zero_one_step(b, n, conf, all_rules[ridx], i),
-    )
+    return _oracle(b, n, clock_cap, successors)
 
 
 def zero_one_reach_configs(
@@ -404,14 +445,7 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
             yield idx, (dst, z2)
 
     found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
-    if found is None:
-        return None
-    labels = found[1]
-    configs = [PocaConfiguration(poca.initial, 0)]
-    for idx in labels:
-        rule = poca.rules[idx]
-        configs.append(PocaConfiguration(rule.dst, apply_op(rule.op, n, configs[-1].counter)))
-    return Run("poca", tuple(configs), tuple(labels))
+    return None if found is None else _replay(poca, n, PocaConfiguration(poca.initial, 0), found[1])
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +456,9 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
 def validate_run(run: Run, automaton, n: int) -> tuple:
     """Replay a run through exact semantics.
 
-    Returns (True, None) or (False, first_failing_step_index).
+    Returns (True, None) or (False, first_failing_step_index).  Raises
+    ValueError when the run's kind is not the automaton's.
     """
-    if run.kind == "zero-one-pta":
-        all_rules = automaton.rules0 + automaton.rules1
-    for i, label in enumerate(run.labels):
-        conf = run.configs[i]
-        try:
-            if run.kind == "pta":
-                ridx, delay = label
-                nxt = pta_step(automaton, n, conf, automaton.rules[ridx], delay)
-            elif run.kind == "zero-one-pta":
-                ridx, bit = label
-                nxt = zero_one_step(automaton, n, conf, all_rules[ridx], bit)
-            else:
-                nxt = poca_step(automaton, n, conf, automaton.rules[label])
-        except (ValueError, IndexError):
-            return (False, i)
-        if nxt is None or nxt != run.configs[i + 1]:
-            return (False, i)
-    return (True, None)
+    if _RUN_KINDS.get(type(automaton)) != run.kind:
+        raise ValueError(f"a {run.kind} run cannot replay on a {type(automaton).__name__}")
+    return _check_labels(automaton, n, run.configs, run.labels)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import POCA, AddParam, DerivedConstants, lcm_range, lcm_set
-from .semantics import PocaConfiguration, semitransition_step
+from .semantics import PocaConfiguration, _check_labels
 
 
 class SemirunError(ValueError):
@@ -75,16 +75,7 @@ class Semirun:
 
     def validate(self) -> tuple:
         """Replay through semitransitions; (True, None) or (False, index)."""
-        for i, ridx in enumerate(self.rules):
-            try:
-                out = semitransition_step(
-                    self.poca, self.n, self.configs[i], self.poca.rules[ridx]
-                )
-            except (ValueError, IndexError):
-                return (False, i)
-            if out is None or out != self.configs[i + 1]:
-                return (False, i)
-        return (True, None)
+        return _check_labels(self.poca, self.n, self.configs, self.rules, False)
 
     def modulus(self) -> int:
         """LCM of the POCA's constants, the lattice for shift and glue."""

@@ -85,28 +85,6 @@ def _pta_rule_obj(rule: PtaRule, time=None) -> dict:
 
 
 def automaton_to_obj(a: Automaton) -> dict:
-    if isinstance(a, PTA):
-        return {
-            "kind": "pta",
-            "states": sorted(a.states),
-            "clocks": sorted(a.clocks),
-            "params": sorted(a.params),
-            "rules": [_pta_rule_obj(r) for r in a.rules],
-            "initial": a.initial,
-            "finals": sorted(a.finals),
-        }
-    if isinstance(a, ZeroOnePTA):
-        rules = [_pta_rule_obj(r, 0) for r in a.rules0]
-        rules += [_pta_rule_obj(r, 1) for r in a.rules1]
-        return {
-            "kind": "zero-one-pta",
-            "states": sorted(a.states),
-            "clocks": sorted(a.clocks),
-            "params": sorted(a.params),
-            "rules": rules,
-            "initial": a.initial,
-            "finals": sorted(a.finals),
-        }
     if isinstance(a, POCA):
         return {
             "kind": "poca",
@@ -116,44 +94,25 @@ def automaton_to_obj(a: Automaton) -> dict:
             "initial": a.initial,
             "finals": sorted(a.finals),
         }
-    raise TypeError(f"not an automaton: {a!r}")
+    if isinstance(a, PTA):
+        kind, rules = "pta", [_pta_rule_obj(r) for r in a.rules]
+    elif isinstance(a, ZeroOnePTA):
+        kind, rules = "zero-one-pta", [_pta_rule_obj(r, i) for i in (0, 1) for r in a.rules(i)]
+    else:
+        raise TypeError(f"not an automaton: {a!r}")
+    return {
+        "kind": kind,
+        "states": sorted(a.states),
+        "clocks": sorted(a.clocks),
+        "params": sorted(a.params),
+        "rules": rules,
+        "initial": a.initial,
+        "finals": sorted(a.finals),
+    }
 
 
 def automaton_from_obj(obj: dict) -> Automaton:
     kind = obj.get("kind")
-    if kind == "pta":
-        rules = tuple(
-            PtaRule(r["from"], guard_from_obj(r["guard"]), frozenset(r.get("resets", ())), r["to"])
-            for r in obj["rules"]
-        )
-        return PTA(
-            frozenset(obj["states"]),
-            frozenset(obj["clocks"]),
-            frozenset(obj["params"]),
-            rules,
-            obj["initial"],
-            frozenset(obj["finals"]),
-        )
-    if kind == "zero-one-pta":
-        rules0, rules1 = [], []
-        for r in obj["rules"]:
-            rule = PtaRule(r["from"], guard_from_obj(r["guard"]), frozenset(r.get("resets", ())), r["to"])
-            time = r.get("time")
-            if time == 0:
-                rules0.append(rule)
-            elif time == 1:
-                rules1.append(rule)
-            else:
-                raise ValueError(f"0/1-PTA rule needs time 0 or 1: {r!r}")
-        return ZeroOnePTA(
-            frozenset(obj["states"]),
-            frozenset(obj["clocks"]),
-            frozenset(obj["params"]),
-            tuple(rules0),
-            tuple(rules1),
-            obj["initial"],
-            frozenset(obj["finals"]),
-        )
     if kind == "poca":
         rules = tuple(
             PocaRule(r["from"], op_from_obj(r["op"]), r["to"]) for r in obj["rules"]
@@ -165,7 +124,25 @@ def automaton_from_obj(obj: dict) -> Automaton:
             obj["initial"],
             frozenset(obj["finals"]),
         )
-    raise ValueError(f"unknown automaton kind: {kind!r}")
+    if kind not in ("pta", "zero-one-pta"):
+        raise ValueError(f"unknown automaton kind: {kind!r}")
+    # A PTA rule reads as a 0/1 rule with time 0; only a 0/1-PTA keeps rules1.
+    rules0, rules1 = [], []
+    for r in obj["rules"]:
+        guard = guard_from_obj(r["guard"])
+        rule = PtaRule(r["from"], guard, frozenset(r.get("resets", ())), r["to"])
+        time = r.get("time") if kind == "zero-one-pta" else 0
+        if time == 0:
+            rules0.append(rule)
+        elif time == 1:
+            rules1.append(rule)
+        else:
+            raise ValueError(f"0/1-PTA rule needs time 0 or 1: {r!r}")
+    declared = (frozenset(obj["states"]), frozenset(obj["clocks"]), frozenset(obj["params"]))
+    end = (obj["initial"], frozenset(obj["finals"]))
+    if kind == "pta":
+        return PTA(*declared, tuple(rules0), *end)
+    return ZeroOnePTA(*declared, tuple(rules0), tuple(rules1), *end)
 
 
 def dumps(a: Automaton, indent=2) -> str:

@@ -110,6 +110,42 @@ def test_simulate_and_validate_poca(fixture_dir, tmp_path, capsys):
     assert main(["simulate", "--automaton", str(mod6), "--param", "4", "--json"]) == 1
 
 
+def test_validate_rejects_shifted_rule_indices(fixture_dir, tmp_path, capsys):
+    even = fixture_dir / "even.json"
+    witness = tmp_path / "w.json"
+    assert main(["simulate", "--automaton", str(even), "--param", "2", "--out", str(witness)]) == 0
+    obj = json.loads(witness.read_text())
+    for step in obj["steps"][:-1]:
+        step["label"]["rule"] -= len(serialize.loads(even.read_text()).rules)
+    witness.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["validate", "--run", str(witness), "--automaton", str(even),
+                 "--param", "2", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"valid": False, "first_failure": 0}
+
+
+def test_wrong_automaton_kind_exits_2(fixture_dir, tmp_path, capsys):
+    even, mod6 = str(fixture_dir / "even.json"), str(fixture_dir / "poca_mod6.json")
+    b = tmp_path / "b.json"
+    assert main(["reduce", "--stage", "zero-one", "--pta", even, "--out", str(b)]) == 0
+    run = tmp_path / "run.json"
+    assert main(["simulate", "--automaton", even, "--param", "2", "--out", str(run)]) == 0
+    capsys.readouterr()
+    cases = [
+        (["constants", "--poca", even], "expected a POCA, found a PTA"),
+        (["solve", "--pta", mod6, "--max-n", "2"], "expected a PTA, found a POCA"),
+        (["reduce", "--stage", "poca", "--pta", str(b)], "expected a PTA, found a ZeroOnePTA"),
+        (["reduce", "--stage", "region", "--pta", mod6, "--region", "LOWER_LEFT"],
+         "expected a PTA or ZeroOnePTA, found a POCA"),
+        (["semilinear", "--oca", even, "--from", "q", "--to", "f"], "expected a POCA"),
+        (["validate", "--run", str(run), "--automaton", mod6, "--param", "2"],
+         "a pta run cannot replay on a POCA"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_regions_subcommand(capsys):
     assert main(["regions", "--classify", "5,3", "--param", "5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Step semantics and the brute-force reachability oracles."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,8 +17,14 @@ from ptareach.automata import (
     ModTest,
     PocaRule,
     PtaRule,
+    ZeroOnePTA,
 )
-from ptareach.fixtures import fixture_by_name, fixture_corpus, random_two_one_pta
+from ptareach.fixtures import (
+    fixture_by_name,
+    fixture_corpus,
+    poca_mod6_fixture,
+    random_two_one_pta,
+)
 from ptareach.poca_build import build_poca
 from ptareach.semantics import (
     PocaConfiguration,
@@ -32,7 +40,9 @@ from ptareach.semantics import (
     semitransition_step,
     shortest_path,
     validate_run,
+    zero_one_reach_bruteforce,
 )
+from ptareach.serialize import run_to_obj
 from ptareach.solver import find_bound_violation
 from ptareach.zero_one import to_zero_one_pta
 
@@ -233,6 +243,57 @@ class TestValidateRun:
         bad = Run("pta", good.configs, tuple(labels))
         ok, idx = validate_run(bad, a, 0)
         assert not ok and idx == len(labels) - 1
+
+    @staticmethod
+    def _shifted(run, by):
+        def shift(label):
+            return label + by if run.kind == "poca" else (label[0] + by, *label[1:])
+        return Run(run.kind, run.configs, tuple(shift(label) for label in run.labels))
+
+    def test_negative_rule_indices_rejected(self):
+        # Python's negative indexing used to alias rule -k to rule len - k.
+        pta = fixture_by_name("even").pta
+        run = pta_reach_bruteforce(pta, 2, 3)
+        bad = self._shifted(run, -len(pta.rules))
+        assert bad.labels == ((-4, 2), (-3, 0), (-2, 0))
+        assert validate_run(bad, pta, 2) == (False, 0)
+        poca = build_poca(to_zero_one_pta(pta)).poca
+        witness = poca_reach_bounded(poca, 2, 0, 4 * max(2, poca.size()))
+        assert validate_run(witness, poca, 2) == (True, None)
+        assert validate_run(self._shifted(witness, -len(poca.rules)), poca, 2) == (False, 0)
+
+    def test_index_past_the_rule_tuple_rejected(self):
+        rules = (PocaRule("q", AddConst(1), "q"),)
+        c = POCA(frozenset({"q"}), frozenset(), rules, "q", frozenset({"q"}))
+        configs = tuple(PocaConfiguration("q", z) for z in (0, 1, 2))
+        assert validate_run(Run("poca", configs, (0, 0)), c, 0) == (True, None)
+        assert validate_run(Run("poca", configs, (0, 1)), c, 0) == (False, 1)
+
+    def test_zero_one_time_bit_names_its_rule_set(self):
+        # One resetting rule in both rule sets: either time bit reaches the
+        # same configuration, so only the index tells the label apart.
+        rule = PtaRule("q", Guard("x", ">=", 0), frozenset({"x"}), "q")
+        b = ZeroOnePTA(frozenset({"q"}), frozenset({"x"}), frozenset(), (rule,), (rule,), "q",
+                       frozenset())
+        configs = (_conf("q", x=0), _conf("q", x=0))
+        for label, verdict in (((0, 0), (True, None)), ((1, 1), (True, None)),
+                               ((0, 1), (False, 0)), ((1, 0), (False, 0))):
+            assert validate_run(Run("zero-one-pta", configs, (label,)), b, 0) == verdict
+
+    def test_rule_must_leave_the_configuration_state(self):
+        rules = (PtaRule("q", Guard("x", ">=", 0), frozenset(), "f"),)
+        a = _pta({"q", "r", "f"}, {"x"}, set(), rules, "q", {"f"})
+        good = Run("pta", (_conf("q", x=0), _conf("f", x=0)), ((0, 0),))
+        assert validate_run(good, a, 0) == (True, None)
+        teleport = Run("pta", (_conf("r", x=0), _conf("f", x=0)), ((0, 0),))
+        assert validate_run(teleport, a, 0) == (False, 0)
+
+    def test_run_kind_must_match_the_automaton(self):
+        pta = fixture_by_name("even").pta
+        run = pta_reach_bruteforce(pta, 2, 3)
+        for other in (to_zero_one_pta(pta), poca_mod6_fixture()):
+            with pytest.raises(ValueError, match="pta run"):
+                validate_run(run, other, 2)
 
 
 def test_saturation_cap_insensitivity():
@@ -447,3 +508,23 @@ class TestSourceIndex:
                 assert found == _old_bound_violation(poca, n, *audit(n))
                 violations += found is not None
         assert violations
+
+
+# sha256 of the oracle runs on the fixtures and the first 30 acceptance draws
+# for N = 0..8.  A change to the oracles or the step semantics must update it
+# on purpose.
+ORACLE_OUTPUT_SHA256 = "081c72c15160e74c5ccc3ae00f2445faa6dd213ed9c1f56e9fcb1f6db033a463"
+
+
+def test_oracle_output_pinned():
+    ptas = [fx.pta for fx in fixture_corpus()]
+    rng = random.Random(20260809)
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(30)]
+    digest = hashlib.sha256()
+    for pta in ptas:
+        b = to_zero_one_pta(pta)
+        for n in range(9):
+            for a, oracle in ((pta, pta_reach_bruteforce), (b, zero_one_reach_bruteforce)):
+                run = oracle(a, n, max(n, max(a.consts(), default=0)) + 1)
+                digest.update(json.dumps(None if run is None else run_to_obj(run)).encode())
+    assert digest.hexdigest() == ORACLE_OUTPUT_SHA256

@@ -80,6 +80,17 @@ class TestLambdaPsi:
         assert in_psi("", 0)
 
 
+def test_validate_checks_rule_indices():
+    # Python's negative indexing used to alias rule -k to rule len - k.
+    m = _machine([AddConst(1), AddConst(-1)], states=("a", "b"))
+    run = _walk(m, 0, [0, 1, 0])
+    assert run.validate() == (True, None)
+    shifted = Semirun(m, 0, run.configs, tuple(r - len(m.rules) for r in run.rules))
+    assert shifted.validate() == (False, 0)
+    past_end = Semirun(m, 0, run.configs, (0, 1, len(m.rules)))
+    assert past_end.validate() == (False, 2)
+
+
 class TestShift:
     def test_translation(self):
         m = _machine([AddConst(1), AddConst(0)])
