@@ -18,6 +18,7 @@ from .poca_build import build_poca, normalize_accepting_zero
 from .regions import Region, region_automaton, region_of
 from .semantics import (
     Run,
+    initial_configuration,
     poca_reach_bounded,
     pta_reach_bruteforce,
     validate_run,
@@ -173,6 +174,11 @@ def _cmd_validate(args) -> int:
     automaton = _load_automaton(args.automaton)
     run = serialize.run_from_obj(json.loads(Path(args.run).read_text()))
     ok, index = validate_run(run, automaton, args.param)
+    # A witness also starts at the initial zero configuration and ends in a final state.
+    if run.configs[0] != initial_configuration(automaton):
+        ok, index = False, 0
+    elif ok and run.configs[-1].state not in automaton.finals:
+        ok, index = False, len(run)
     _emit({"valid": ok, "first_failure": index}, args.json)
     return 0 if ok else 1
 
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("validate", help="replay a witness run")
+    p = sub.add_parser("validate", help="check a witness run: replay, initial start, final end")
     p.add_argument("--run", required=True)
     p.add_argument("--automaton", required=True)
     p.add_argument("--param", type=int, required=True)

@@ -110,6 +110,13 @@ class Run:
 # ---------------------------------------------------------------------------
 
 
+def initial_configuration(automaton):
+    """The automaton's initial zero configuration: every clock 0, or counter 0."""
+    if isinstance(automaton, POCA):
+        return PocaConfiguration(automaton.initial, 0)
+    return PtaConfiguration.make(automaton.initial, {c: 0 for c in automaton.clocks})
+
+
 def _clock_step(rule: PtaRule, n: int, valuation: tuple, delay: int) -> Optional[dict]:
     """Wait delay, test the rule's guard, reset: the valuation dict after, or None."""
     advanced = {c: v + delay for c, v in valuation}
@@ -326,11 +333,18 @@ def _oracle(a, n: int, clock_cap: int, successors) -> Optional[Run]:
     needed = max(n, max(a.consts(), default=0)) + 1
     if clock_cap < needed:
         raise ValueError(f"clock_cap {clock_cap} below required {needed}")
-    start = PtaConfiguration.make(a.initial, {c: 0 for c in a.clocks})
+    start = initial_configuration(a)
     found = shortest_path(
         (start.state, start.valuation), successors, lambda node: node[0] in a.finals
     )
     return None if found is None else _replay(a, n, start, found[1])
+
+
+def _guard_window(cmp: str, rhs: int, value: int, cap: int) -> tuple:
+    """The delays d in 0..cap with ``value + d cmp rhs``, as (lo, hi); empty if lo > hi."""
+    d = rhs - value
+    lo, hi = {"<": (0, d - 1), "<=": (0, d), "=": (d, d), ">=": (d, cap), ">": (d + 1, cap)}[cmp]
+    return max(lo, 0), min(hi, cap)
 
 
 def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
@@ -339,17 +353,26 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
     Clock values saturate at clock_cap during the search; the returned run is
     replayed under exact semantics, which is sound because no guard can
     distinguish values >= clock_cap when clock_cap > max(n, max consts).
+    Each rule tries only its guard window, in ascending order, up to the delay
+    that saturates every clock it keeps: later delays repeat that successor.
     """
+    clocks = sorted(pta.clocks)  # the positions of a node's valuation tuple
+    rows = {}  # source -> [(rule index, dst, guard clock position, cmp, rhs at n, kept positions)]
+    for ridx, rule in enumerate(pta.rules):
+        g = rule.guard
+        kept = tuple(i for i, c in enumerate(clocks) if c not in rule.resets)
+        row = (ridx, rule.dst, clocks.index(g.clock), g.cmp, n if g.parametric else g.rhs, kept)
+        rows.setdefault(rule.src, []).append(row)
 
     def successors(node):
         state, vals = node
-        for ridx, rule in enumerate(pta.rules):
-            if rule.src != state:
-                continue
-            for delay in range(clock_cap + 1):
-                advanced = _clock_step(rule, n, vals, delay)
-                if advanced is not None:
-                    yield (ridx, delay), (rule.dst, _saturate(advanced, clock_cap))
+        for ridx, dst, g, cmp, rhs, kept in rows.get(state, ()):
+            lo, hi = _guard_window(cmp, rhs, vals[g][1], clock_cap)
+            last = clock_cap - min(vals[i][1] for i in kept) if kept else lo
+            for delay in range(lo, min(hi, max(lo, last)) + 1):
+                sat = tuple([(c, min(v + delay, clock_cap) if i in kept else 0)
+                             for i, (c, v) in enumerate(vals)])
+                yield (ridx, delay), (dst, sat)
 
     return _oracle(pta, n, clock_cap, successors)
 
@@ -445,7 +468,7 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
             yield idx, (dst, z2)
 
     found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
-    return None if found is None else _replay(poca, n, PocaConfiguration(poca.initial, 0), found[1])
+    return None if found is None else _replay(poca, n, initial_configuration(poca), found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional
 from .automata import PTA, derive_constants
 from .poca_build import BuildResult, build_poca, decode_witness
 from .semantics import (
-    PtaConfiguration,
     Run,
+    initial_configuration,
     poca_reach_bounded,
     poca_successors,
     pta_reach_bruteforce,
@@ -140,7 +140,7 @@ def zero_one_run_to_pta_run(pta: PTA, n: int, b_run: Run) -> Run:
     """
     cap = max(pta.consts(), default=0) + 1
     clocks = sorted(pta.clocks)
-    configs = [PtaConfiguration.make(pta.initial, {c: 0 for c in clocks})]
+    configs = [initial_configuration(pta)]
     labels = []
     pending = 0
     for i, (_, bit) in enumerate(b_run.labels):

@@ -124,6 +124,32 @@ def test_validate_rejects_shifted_rule_indices(fixture_dir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"valid": False, "first_failure": 0}
 
 
+def test_validate_rejects_runs_that_witness_nothing(fixture_dir, tmp_path, capsys):
+    even = str(fixture_dir / "even.json")
+    run = tmp_path / "run.json"
+
+    def validate(obj):
+        run.write_text(json.dumps(obj))
+        code = main(["validate", "--run", str(run), "--automaton", even, "--param", "2", "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    for valuation in ({"x": 0, "y": 0}, {"x": 5, "y": 1}):
+        step = {"state": "q", "valuation": valuation, "label": None}
+        assert validate({"kind": "pta", "steps": [step]}) == (
+            1, {"valid": False, "first_failure": 0})
+    assert main(["simulate", "--automaton", even, "--param", "2", "--out", str(run)]) == 0
+    steps = json.loads(run.read_text())["steps"]
+    capsys.readouterr()
+    assert validate({"kind": "pta", "steps": steps}) == (0, {"valid": True, "first_failure": None})
+    # A correct prefix that stops short of a final state fails after its last step.
+    cut = steps[:-1]
+    cut[-1] = dict(cut[-1], label=None)
+    assert validate({"kind": "pta", "steps": cut}) == (
+        1, {"valid": False, "first_failure": len(cut) - 1})
+    shifted = [dict(steps[0], valuation={"x": 1, "y": 1})] + steps[1:]
+    assert validate({"kind": "pta", "steps": shifted}) == (1, {"valid": False, "first_failure": 0})
+
+
 def test_wrong_automaton_kind_exits_2(fixture_dir, tmp_path, capsys):
     even, mod6 = str(fixture_dir / "even.json"), str(fixture_dir / "poca_mod6.json")
     b = tmp_path / "b.json"

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from ptareach import semantics
 from ptareach.automata import (
+    COMPARISONS,
     POCA,
     PTA,
     AddConst,
@@ -528,3 +530,91 @@ def test_oracle_output_pinned():
                 run = oracle(a, n, max(n, max(a.consts(), default=0)) + 1)
                 digest.update(json.dumps(None if run is None else run_to_obj(run)).encode())
     assert digest.hexdigest() == ORACLE_OUTPUT_SHA256
+
+
+# sha256 of the PTA oracle's runs on the first 20 seed-0 draws for N in
+# {0, 5, 13, 31}, at the required clock cap and at four above it.
+ORACLE_WIDE_OUTPUT_SHA256 = "accf4be433eb946160f689897a02e6904bac35642405bf3478c01c7134a202fa"
+
+
+def test_oracle_output_pinned_on_seed0_draws_and_raised_caps():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for pta in [random_two_one_pta(rng, max_states=3) for _ in range(20)]:
+        for n in (0, 5, 13, 31):
+            need = max(n, max(pta.consts(), default=0)) + 1
+            for cap in (need, need + 4):
+                run = pta_reach_bruteforce(pta, n, cap)
+                digest.update(json.dumps(None if run is None else run_to_obj(run)).encode())
+    assert digest.hexdigest() == ORACLE_WIDE_OUTPUT_SHA256
+
+
+class TestGuardWindow:
+    def test_window_is_exactly_the_delays_the_guard_admits(self):
+        for cmp in COMPARISONS:
+            for rhs in (0, 1, 3, "p"):
+                guard = Guard("x", cmp, rhs)
+                for n in (0, 2, 5):
+                    resolved = n if guard.parametric else guard.rhs
+                    for cap in (0, 1, 4, 7):
+                        for value in range(cap + 1):
+                            lo, hi = semantics._guard_window(cmp, resolved, value, cap)
+                            admitted = [d for d in range(cap + 1) if guard.holds(value + d, n)]
+                            assert list(range(lo, hi + 1)) == admitted, (guard, n, cap, value)
+
+    @staticmethod
+    def _per_delay_oracle(pta, n, cap):
+        """The oracle as it stood before guard windows: every delay 0..cap per rule."""
+
+        def successors(node):
+            state, vals = node
+            for ridx, rule in enumerate(pta.rules):
+                if rule.src != state:
+                    continue
+                for delay in range(cap + 1):
+                    advanced = semantics._clock_step(rule, n, vals, delay)
+                    if advanced is not None:
+                        yield (ridx, delay), (rule.dst, semantics._saturate(advanced, cap))
+
+        start = PtaConfiguration.make(pta.initial, {c: 0 for c in pta.clocks})
+        found = shortest_path(
+            (start.state, start.valuation), successors, lambda node: node[0] in pta.finals
+        )
+        return None if found is None else semantics._replay(pta, n, start, found[1])
+
+    @staticmethod
+    def _chain(*rows):
+        """A PTA over x, y from (src, clock, cmp, rhs, reset clock letters, dst) rows."""
+        rules = [PtaRule(a, Guard(c, cmp, rhs), frozenset(z), b) for a, c, cmp, rhs, z, b in rows]
+        states = {r.src for r in rules} | {r.dst for r in rules}
+        return _pta(states, {"x", "y"}, {"p"}, rules, "q", {"f"})
+
+    def test_oracle_runs_match_the_per_delay_search(self):
+        chain = self._chain
+        hand_built = [
+            # Rules that reset both clocks keep only their least delay.
+            chain(("q", "x", ">=", 1, "xy", "r"), ("r", "y", "<", 2, "y", "q"),
+                  ("r", "x", "=", "p", "", "f"), ("q", "y", ">", "p", "xy", "f")),
+            # f needs the reset on a -> b to zero x, which is 1 before the wait.
+            chain(("q", "x", "=", 1, "", "a"), ("a", "y", ">=", 1, "x", "b"),
+                  ("b", "x", "=", 0, "xy", "c"), ("c", "y", "=", "p", "", "f")),
+            # f needs delay 2 on q -> a, not its least delay 0: c is entered
+            # with x = 1 only if y - x is 2.
+            chain(("q", "y", "<=", 5, "x", "a"), ("a", "x", "=", 1, "", "b"),
+                  ("b", "y", "=", 3, "", "c"), ("c", "x", "=", 1, "", "f")),
+            # At the required cap, s is entered with y saturated, so s -> f,
+            # which keeps only y, has its least delay 1 above the clip 0.
+            chain(("q", "y", ">", "p", "x", "s"), ("s", "x", ">=", 1, "x", "f")),
+        ]
+        rng = random.Random(60610)
+        ptas = hand_built + [fixture_by_name("reset_pingpong").pta]
+        ptas += [random_two_one_pta(rng, max_states=3) for _ in range(100)]
+        hits = 0
+        for pta in ptas:
+            for n in range(7):
+                need = max(n, max(pta.consts(), default=0)) + 1
+                for cap in (need, need + 3):
+                    run = pta_reach_bruteforce(pta, n, cap)
+                    assert run == self._per_delay_oracle(pta, n, cap), (pta, n, cap)
+                    hits += run is not None
+        assert hits
