@@ -35,7 +35,6 @@ from .semantics import (
     semitransition_step,
     validate_run,
     zero_one_reach_bruteforce,
-    zero_one_step,
 )
 from .zero_one import product_origin, to_zero_one_pta
 from .regions import Region, region_automaton, region_oca, region_of, region_satisfies

@@ -330,9 +330,6 @@ class CmpParam:
 
 CounterOp = Union[AddConst, AddParam, ModTest, CmpConst, CmpParam]
 
-#: Operations that change the counter; the rest are tests.
-UPDATE_OPS = (AddConst, AddParam)
-
 
 @dataclass(frozen=True, order=True)
 class PocaRule:

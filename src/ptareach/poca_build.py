@@ -153,15 +153,12 @@ ACTION_TARGET_KAPPA = {
 class GadgetSpec:
     """Contract met by one emitted gadget.
 
-    The envelope bounds every counter value between the gadget's entry and
-    exit on an accepting run, as alpha * N + beta; tests replay witnesses
-    against it.  Entry and exit name the automaton states delimiting the
-    gadget's block.
+    The envelope bounds every counter value from the gadget's event-header
+    state (its key in ``BuildResult.gadgets``) to the next anchor on an
+    accepting run, as alpha * N + beta; tests replay witnesses against it.
     """
 
     name: str
-    entry: str
-    exit: str
     gen: Optional[tuple]
     case: Optional[str]
     lo: tuple  # (alpha, beta): value >= alpha * N + beta
@@ -199,6 +196,7 @@ class _Emitter:
         self.rules = []
         self.annotations = {}
         self.counter = itertools.count()
+        self.tails = {}  # (op, dst) -> the unannotated state whose one rule is op to dst
 
     def fresh(self, meta: Optional[dict] = None) -> str:
         index = next(self.counter)
@@ -212,26 +210,35 @@ class _Emitter:
     def edge(self, src: str, op, dst: str) -> None:
         self.rules.append(PocaRule(src, op, dst))
 
+    def link(self, src: str, op, dst: str) -> None:
+        """One op from src to dst.  A ("collapse", step) marker walks the
+        counter by step until z = 0 and pins it there."""
+        if isinstance(op, tuple):
+            self.chain(self.loop(src, op[1], 1), _zcond_ops("z=0"), dst)
+        else:
+            self.edge(src, op, dst)
+
     def chain(self, src: str, ops, dst: str) -> None:
-        """Thread a list of counter operations from src to dst."""
-        if not ops:
-            self.edge(src, AddConst(0), dst)
-            return
-        cur = src
-        for op in ops[:-1]:
-            nxt = self.fresh()
-            self.edge(cur, op, nxt)
-            cur = nxt
-        self.edge(cur, ops[-1], dst)
+        """Thread a list of counter operations from src to dst.
+
+        The interior is built backwards from dst, and each interior state is
+        named by its one outgoing (op, next state), so chains that end in
+        the same ops to the same state share that tail.
+        """
+        ops = list(ops) or [AddConst(0)]
+        for op in reversed(ops[1:]):
+            if (op, dst) not in self.tails:
+                self.tails[op, dst] = self.fresh()
+                self.link(self.tails[op, dst], op, dst)
+            dst = self.tails[op, dst]
+        self.link(src, ops[0], dst)
 
     def loop(self, src: str, step: int, period: int) -> str:
         """A nondeterministic loop adding step*period per iteration.
 
         Returns the state from which any number of iterations (including
-        zero) has been taken; period 0 emits nothing.
+        zero) has been taken; the period is at least 1.
         """
-        if period == 0:
-            return src
         hub = self.fresh()
         self.edge(src, AddConst(0), hub)
         cur = hub
@@ -452,8 +459,8 @@ def _dwell_keys(gen, needs_rho=None):
 
 
 # Ops taking the shifted counter from z + 2N to exactly 2N, per class.  The
-# ranged classes get a marker that _resolve_collapses expands into a walk
-# to the pin.
+# ranged classes get a marker that _Emitter.link expands into a walk to the
+# pin.
 _COLLAPSE = {
     "Z0": [],
     "YN": [_MINUS_N],
@@ -629,8 +636,6 @@ class _Builder:
         slack = 6 + (gen[0] + gen[1] if gen else 0)
         self.gadget_specs[head] = GadgetSpec(
             name=f"{ev['type']}:{ev.get('style') or ev.get('cond') or case or 'point'}",
-            entry=head,
-            exit="<target>",
             gen=gen,
             case=case,
             lo=(0, 0),
@@ -652,6 +657,9 @@ class _Builder:
         a, b_period = ev["gen"]
         self.max_const = max(self.max_const, a + 3, b_period)
         pre, step, period, post = LOCKS[ev["style"]](a, b_period, CASES[case][2], rho_of)
+        if period == 0:
+            self.em.chain(head, pre + post, target)
+            return
         cur = self.em.fresh()
         self.em.chain(head, pre, cur)
         self.em.chain(self.em.loop(cur, step, period), post, target)
@@ -692,18 +700,12 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     mods = sorted(mods)
     rho_choices = [[(b_, r) for r in range(b_)] for b_ in mods]
     for combo in itertools.product(*rho_choices) if mods else [()]:
-        cur = gate
-        for b_, r in combo:
-            nxt = em.fresh()
-            em.chain(cur, _residue_ops(b_, r), nxt)
-            cur = nxt
         entry = em.fresh({"role": "offset", "rho": combo})
-        em.edge(cur, _PLUS_N, entry)
+        em.chain(gate, [op for b_, r in combo for op in _residue_ops(b_, r)] + [_PLUS_N], entry)
         anchors = builder.emit(events, combo)
         em.edge(entry, AddConst(0), anchors[("Z0", 0, b.initial)])
 
-    rules = _resolve_collapses(builder)
-    states, rules = _prune(rules, init, builder.acc)
+    states, rules = _prune(em.rules, init, builder.acc)
     poca = POCA(
         states=frozenset(states),
         params=frozenset({PARAM}),
@@ -736,16 +738,6 @@ def _prune(rules, init, acc):
     )
     live.add(init)
     return live, [r for r in rules if r.src in live and r.dst in live]
-
-
-def _resolve_collapses(builder):
-    """Expand symbolic collapse markers into pinned walk-to-2N loops."""
-    em = builder.em
-    for rule in list(em.rules):
-        if isinstance(rule.op, tuple) and rule.op and rule.op[0] == "collapse":
-            step = rule.op[1]
-            em.chain(em.loop(rule.src, step, 1), _zcond_ops("z=0"), rule.dst)
-    return [r for r in em.rules if not isinstance(r.op, tuple)]
 
 
 def _emit_small_branch(builder, init, k):

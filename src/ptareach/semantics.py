@@ -148,17 +148,6 @@ def pta_step(
     return _clock_config_step(pta, n, conf, rule, delay)
 
 
-def zero_one_step(
-    b: ZeroOnePTA, n: int, conf: PtaConfiguration, rule: PtaRule, i: int
-) -> Optional[PtaConfiguration]:
-    """One 0/1-PTA step with time bit i; None on guard violation."""
-    if i not in (0, 1):
-        raise ValueError("time bit must be 0 or 1")
-    if rule not in b.rules(i):
-        raise ValueError("rule does not belong to the indicated rule set")
-    return _clock_config_step(b, n, conf, rule, i)
-
-
 def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[int]:
     """Apply one counter operation; None when an enforced test fails."""
     if isinstance(op, AddConst):

@@ -18,11 +18,11 @@ from .automata import PTA, derive_constants
 from .poca_build import BuildResult, build_poca, decode_witness
 from .semantics import (
     Run,
+    _label_step,
     initial_configuration,
     poca_reach_bounded,
     poca_successors,
     pta_reach_bruteforce,
-    pta_step,
     shortest_path,
     validate_run,
 )
@@ -140,6 +140,7 @@ def zero_one_run_to_pta_run(pta: PTA, n: int, b_run: Run) -> Run:
     """
     cap = max(pta.consts(), default=0) + 1
     clocks = sorted(pta.clocks)
+    step = _label_step(pta, n)
     configs = [initial_configuration(pta)]
     labels = []
     pending = 0
@@ -153,7 +154,7 @@ def zero_one_run_to_pta_run(pta: PTA, n: int, b_run: Run) -> Run:
         for j, rule in enumerate(pta.rules):
             if rule.src != src_state or rule.dst != dst_state:
                 continue
-            nxt = pta_step(pta, n, configs[-1], rule, pending)
+            nxt = step(configs[-1], (j, pending))
             if nxt is None:
                 continue
             if all(min(nxt.value(c), cap) == dst_stored[c] for c in clocks):

@@ -273,7 +273,7 @@ def test_small_branch_handles_degenerate_parameters():
 
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "eda1a69f977e793d09e5fed18606d1ad57fe11dfa757fafc9225e77e456064f0"
+BUILD_OUTPUT_SHA256 = "a4969c65daee3fc85380f012190db66fd2d214a5b1746d87ff230e3e6894ce6f"
 
 
 def test_build_output_pinned():
@@ -292,3 +292,24 @@ def test_build_output_pinned():
     # The digest vouches for every gadget only if the corpus emits each one.
     conds = {cond for edges in CROSSINGS.values() for _, cond in edges if cond}
     assert set(LOCKS) | set(CASES) | conds | {"point", "ur", "exist_then"} <= seen
+
+
+def test_no_two_states_share_an_outgoing_rule_list():
+    # An unannotated state's only future is its outgoing rules, so two such
+    # states with the same (op, dst) list are interchangeable and one of
+    # them is redundant.  The emitter shares equal chain tails instead.
+    ptas = [fx.pta for fx in fixture_corpus()]
+    rng = random.Random(20260809)
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
+    duplicates = 0
+    for pta in ptas:
+        res = build_poca(to_zero_one_pta(pta))
+        out = {}
+        for rule in res.poca.rules:
+            out.setdefault(rule.src, []).append((rule.op, rule.dst))
+        seen = set()
+        for state in sorted(res.poca.states - {res.poca.initial} - set(res.annotations)):
+            key = tuple(out.get(state, ()))
+            duplicates += key in seen
+            seen.add(key)
+    assert duplicates == 0
