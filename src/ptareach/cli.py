@@ -152,12 +152,12 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     automaton = _load_automaton(args.automaton)
     if isinstance(automaton, POCA):
-        hi = args.cap or 4 * max(args.param, automaton.size())
+        hi = 4 * max(args.param, automaton.size()) if args.cap is None else args.cap
         run = poca_reach_bounded(automaton, args.param, -hi, hi)
     else:
         oracle = pta_reach_bruteforce if isinstance(automaton, PTA) else zero_one_reach_bruteforce
-        cap = args.cap or max(args.param, max(automaton.consts(), default=0)) + 1
-        run = oracle(automaton, args.param, cap)
+        default = max(args.param, max(automaton.consts(), default=0)) + 1
+        run = oracle(automaton, args.param, default if args.cap is None else args.cap)
     if run is None:
         _emit({"reachable": False, "param": args.param}, args.json)
         return 1

@@ -228,8 +228,13 @@ def random_two_one_pta(rng, max_states: int = 3, max_const: int = 2) -> PTA:
     clocks = ["x", "y"] + (["w"] if rng.random() < 0.4 else [])
     comparisons = ["<", "<=", "=", ">=", ">"]
     rules = [
-        PtaRule(states[0], Guard("x", rng.choice(comparisons), "p"), frozenset(), rng.choice(states)),
-        PtaRule(rng.choice(states), Guard("y", rng.choice(comparisons), "p"), frozenset(), rng.choice(states)),
+        PtaRule(
+            states[0], Guard("x", rng.choice(comparisons), "p"), frozenset(), rng.choice(states)
+        ),
+        PtaRule(
+            rng.choice(states), Guard("y", rng.choice(comparisons), "p"), frozenset(),
+            rng.choice(states),
+        ),
     ]
     for _ in range(rng.randrange(1, 6)):
         clock = rng.choice(clocks)

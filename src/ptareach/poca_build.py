@@ -14,6 +14,17 @@ a chosen progression and restore the counter; resets lock a nondeterministic
 dwell into the new counter value; point-like regions admit only zero dwell,
 which is a static epsilon-reachability check.
 
+A gadget whose progression has period b >= 2 and whose bound is N also
+checks w = N (mod b) in place: a ("residue", b) marker expands into b
+restoring branches, branch r testing w = r and then w + N = 2r (mod b).  Some
+branch passes exactly when w = N (mod b) (take r = w mod b; conversely
+N = 2r - w = r = w), so the anchor graph is emitted once.  A branch starts
+after the gadget's comparison test and adds at most N + b - 1 to w.  From
+w <= N it peaks at 2N + b - 1.  In lock_y_mirror (w >= N), w lies N + 1 + a
+below the dwell loop's exit value, at most 3N - 2 (the loop descends from
+c + N - 1 for an XMID anchor value c <= 2N - 1), so it peaks at 3N + b - 4
+at most.  Both stay inside the gadget envelope 3N + 6 + a + b.
+
 Parameter values 0 and 1 lack the geometry above and are handled by a
 direct finite product branch guarded by an equality test on the parameter.
 """
@@ -212,11 +223,17 @@ class _Emitter:
 
     def link(self, src: str, op, dst: str) -> None:
         """One op from src to dst.  A ("collapse", step) marker walks the
-        counter by step until z = 0 and pins it there."""
-        if isinstance(op, tuple):
+        counter by step until z = 0 and pins it there; a ("residue", b)
+        marker checks the counter against N modulo b (see the module doc)."""
+        if not isinstance(op, tuple):
+            self.edge(src, op, dst)
+        elif op[0] == "collapse":
             self.chain(self.loop(src, op[1], 1), _zcond_ops("z=0"), dst)
         else:
-            self.edge(src, op, dst)
+            b = op[1]
+            for r in range(b):
+                ops = _residue_ops(b, r) + [_PLUS_N] + _residue_ops(b, 2 * r % b) + [_MINUS_N]
+                self.chain(src, ops, dst)
 
     def chain(self, src: str, ops, dst: str) -> None:
         """Thread a list of counter operations from src to dst.
@@ -335,19 +352,18 @@ def _zcond_ops(cond: str):
     return _restore(there, [test])
 
 
-def _residue_ops(b_period: int, rho: int):
-    """Restoring test that the counter is rho modulo b_period."""
-    return _restore(_plus((b_period - rho) % b_period), [ModTest(b_period)])
+def _residue_ops(b_period: int, r: int):
+    """Restoring test that the counter is r modulo b_period."""
+    return _restore(_plus((b_period - r) % b_period), [ModTest(b_period)])
 
 
-def _bound_test(bound: str, cmp: str, b_period: int, rho_of: dict):
+def _bound_test(bound: str, cmp: str, b_period: int):
     """The counter equals the bound ("N" or "0") for period 0; otherwise it
     compares `cmp` with the bound and agrees with it modulo the period."""
     cmp = "=" if b_period == 0 else cmp
-    tests = [CmpParam(cmp, PARAM) if bound == "N" else CmpConst(cmp, 0)]
-    if b_period >= 2:
-        tests += _residue_ops(b_period, rho_of[b_period] if bound == "N" else 0)
-    return tests
+    if bound == "0":
+        return [CmpConst(cmp, 0)] + (_residue_ops(b_period, 0) if b_period >= 2 else [])
+    return [CmpParam(cmp, PARAM)] + ([("residue", b_period)] if b_period >= 2 else [])
 
 
 # Open-cell cases other than UR: (bound the checked value meets, "N" or "0";
@@ -366,14 +382,14 @@ CASES = {
 }
 
 
-def _traverse_ops(case: str, gen: tuple, rho_of: dict):
+def _traverse_ops(case: str, gen: tuple):
     """Restoring check that the forced full-cell dwell lies in the progression."""
     a, b_period = gen
     bound, descents, extra = CASES[case]
     lift = a + 2 + extra
     if bound == "N":
-        return _restore(_plus(lift) + [_MINUS_N] * descents, _bound_test("N", "<=", b_period, rho_of))
-    return _restore([_MINUS_N] * descents + _minus(lift), _bound_test("0", ">=", b_period, rho_of))
+        return _restore(_plus(lift) + [_MINUS_N] * descents, _bound_test("N", "<=", b_period))
+    return _restore([_MINUS_N] * descents + _minus(lift), _bound_test("0", ">=", b_period))
 
 
 def _exist_ops(case: str, gen: tuple):
@@ -395,32 +411,32 @@ def _traverse_dwell(case: str, z: int, n: int) -> int:
 
 
 # Lock resets turn the dwell beyond the progression offset a into the new
-# counter.  Per style, (a, period, extra dwell, rho_of) -> (ops before the
+# counter.  Per style, (a, period, extra dwell) -> (ops before the
 # dwell loop, loop step, loop period, restoring check after it).
 LOCKS = {
     # new difference z+1+delta, verified <= N-1
-    "lock_y_main": lambda a, b, extra, rho_of: (_plus(1 + a), 1, b, _zcond_ops("z<=N-1")),
+    "lock_y_main": lambda a, b, extra: (_plus(1 + a), 1, b, _zcond_ops("z<=N-1")),
     # new difference -(1+delta): descend by N, climb at least once, then
     # pin the climb target against the progression.
-    "lock_x_main": lambda a, b, extra, rho_of: (
+    "lock_x_main": lambda a, b, extra: (
         [_MINUS_N, AddConst(1)], 1, 1,
-        _restore(_plus(1 + a) + [_MINUS_N], _bound_test("N", "<=", b, rho_of)),
+        _restore(_plus(1 + a) + [_MINUS_N], _bound_test("N", "<=", b)),
     ),
     # new difference 1+delta: climb by N, descend at least once, pin.
-    "lock_y_mirror": lambda a, b, extra, rho_of: (
+    "lock_y_mirror": lambda a, b, extra: (
         [_PLUS_N, AddConst(-1)], -1, 1,
-        _restore(_minus(1 + a) + [_MINUS_N], _bound_test("N", ">=", b, rho_of)),
+        _restore(_minus(1 + a) + [_MINUS_N], _bound_test("N", ">=", b)),
     ),
     # new difference z-1-delta, verified >= 1-N
-    "lock_x_mirror": lambda a, b, extra, rho_of: (_minus(1 + a), -1, b, _zcond_ops("z>=1-N")),
+    "lock_x_mirror": lambda a, b, extra: (_minus(1 + a), -1, b, _zcond_ops("z>=1-N")),
     # from LOWER_RIGHT: new difference z-N-1-delta (left entry) or
     # -(1+delta) (bottom entries), same shifted form either way.
-    "lock_x_lr": lambda a, b, extra, rho_of: (
+    "lock_x_lr": lambda a, b, extra: (
         [_MINUS_N] + _minus(1 + extra + a), -1, b, _zcond_ops("z>=1-N"),
     ),
     # from UPPER_LEFT: new difference N+1+z+delta (top entry) or 1+delta
     # (left entries), verified <= N-1.
-    "lock_y_ul": lambda a, b, extra, rho_of: (
+    "lock_y_ul": lambda a, b, extra: (
         [_PLUS_N] + _plus(1 + extra + a), 1, b, _zcond_ops("z<=N-1"),
     ),
 }
@@ -448,14 +464,9 @@ def _reset(kappa, region, case, rk):
     return "ur" if case == "UR" else "exist_then", entry, ACTION_TARGET_KAPPA[entry]
 
 
-def _dwell_keys(gen, needs_rho=None):
-    """Event keys of a dwell progression: none for zero dwell (gen None),
-    and needs_rho beside the progression unless needs_rho is None."""
-    if gen is None:
-        return {}
-    if needs_rho is None:
-        return {"gen": gen}
-    return {"gen": gen, "needs_rho": needs_rho and gen[1] >= 2}
+def _dwell_keys(gen):
+    """Event keys of a dwell progression: none for zero dwell (gen None)."""
+    return {} if gen is None else {"gen": gen}
 
 
 # Ops taking the shifted counter from z + 2N to exactly 2N, per class.  The
@@ -511,25 +522,15 @@ class _Builder:
     # -- abstract event discovery ------------------------------------------
 
     def discover(self):
-        """Walk the anchor graph once, recording feasible events.
-
-        Returns (events per anchor key, set of modulo periods needing the
-        parameter residue).
-        """
+        """Walk the anchor graph once; returns the feasible events per anchor key."""
         events = {}
-        mods = set()
 
         def successors(key):
             events[key] = found = self._anchor_events(*key)
-            for ev in found:
-                gen = ev.get("gen")
-                if gen and gen[1] >= 2 and ev.get("needs_rho"):
-                    mods.add(gen[1])
-                if "next" in ev:
-                    yield ev["next"]
+            yield from (ev["next"] for ev in found if "next" in ev)
 
         reachable([("Z0", 0, self.b.initial)], successors)
-        return events, mods
+        return events
 
     def _rules(self, region, bit):
         """The resetting rules0 (bit 0) or the rules1 (bit 1) whose guards
@@ -560,14 +561,13 @@ class _Builder:
             reach = lambda v: _gens(self.tables, region, u, v)[:1]
         else:
             reach = lambda v: _gens(self.tables, region, u, v)
-        checked = case in CASES  # the gadget checks the dwell, so may need rho
+        checked = case in CASES  # the gadget checks the dwell
         out = []
         for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
-            needs_rho = CASES[case][0] == "N" if checked else None
             for ridx, rule in self._rules(CHAINS[kappa][nxt_slot], 1):
                 for gen in reach(rule.src):
                     out.append({
-                        "type": "cross", "cond": cond, **_dwell_keys(gen, needs_rho),
+                        "type": "cross", "cond": cond, **_dwell_keys(gen),
                         "rule1": ridx, "v": rule.src, "next": (kappa, nxt_slot, rule.dst),
                     })
         for ridx, rule in self._rules(region, 0):
@@ -576,11 +576,9 @@ class _Builder:
                 continue
             rk = _reset_key(rule.resets, *self.clocks)
             style, action, kappa2 = _reset(kappa, region, case, rk)
-            needs_rho = style in ("lock_x_main", "lock_y_mirror") if checked else None
             for gen in gens:
                 out.append({
-                    "type": "reset", "style": style, "action": action,
-                    **_dwell_keys(gen, needs_rho),
+                    "type": "reset", "style": style, "action": action, **_dwell_keys(gen),
                     "rule0": ridx, "v": rule.src, "next": (kappa2, 0, rule.dst),
                 })
         for f in sorted(self.b.finals):
@@ -592,9 +590,8 @@ class _Builder:
 
     # -- emission ------------------------------------------------------------
 
-    def emit(self, events, rho_vector):
-        """Emit the large-parameter automaton for one residue assignment."""
-        rho_of = dict(rho_vector)
+    def emit(self, events):
+        """Emit the large-parameter automaton; returns its anchor states."""
         anchors = {}
 
         def anchor(key):
@@ -607,7 +604,6 @@ class _Builder:
                         "slot": slot,
                         "region": CHAINS[kappa][slot].name,
                         "bstate": u,
-                        "rho": rho_vector,
                     }
                 )
             return anchors[key]
@@ -618,10 +614,10 @@ class _Builder:
             region = CHAINS[kappa][slot]
             case = CELL_CASE.get((kappa, region))
             for ev in evs:
-                self._emit_event(src, key, case, ev, rho_of, anchor)
+                self._emit_event(src, key, case, ev, anchor)
         return anchors
 
-    def _emit_event(self, src, key, case, ev, rho_of, anchor):
+    def _emit_event(self, src, key, case, ev, anchor):
         kappa, slot, u = key
         meta = {
             "role": "event",
@@ -642,21 +638,22 @@ class _Builder:
             hi=(3, slack),
         )
         if ev.get("style") in LOCKS:
-            self._emit_lock_reset(head, case, ev, rho_of, anchor(ev["next"]))
+            self._emit_lock_reset(head, case, ev, anchor(ev["next"]))
             return
         ops = _zcond_ops(ev["cond"]) if ev.get("cond") else []
         if "gen" in ev:
-            ops += _traverse_ops(case, ev["gen"], rho_of) if ev["type"] == "cross" else _exist_ops(case, ev["gen"])
+            check = _traverse_ops if ev["type"] == "cross" else _exist_ops
+            ops += check(case, ev["gen"])
         if ev["type"] == "reset":
             ops += _action_ops(kappa, ev["action"])
         self._note_consts(ops)
         self.em.chain(head, ops, self.acc if ev["type"] == "accept" else anchor(ev["next"]))
 
-    def _emit_lock_reset(self, head, case, ev, rho_of, target):
+    def _emit_lock_reset(self, head, case, ev, target):
         """Gadgets that turn a nondeterministic dwell into the new counter."""
         a, b_period = ev["gen"]
         self.max_const = max(self.max_const, a + 3, b_period)
-        pre, step, period, post = LOCKS[ev["style"]](a, b_period, CASES[case][2], rho_of)
+        pre, step, period, post = LOCKS[ev["style"]](a, b_period, CASES[case][2])
         if period == 0:
             self.em.chain(head, pre + post, target)
             return
@@ -668,6 +665,8 @@ class _Builder:
         for op in ops:
             if isinstance(op, (ModTest, CmpConst)):
                 self.max_const = max(self.max_const, op.value)
+            elif isinstance(op, tuple) and op[0] == "residue":  # expands to ModTest(b)
+                self.max_const = max(self.max_const, op[1])
 
 
 def _reset_key(resets, clock_x, clock_y) -> str:
@@ -692,18 +691,10 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     for k in range(SMALL_LIMIT):
         _emit_small_branch(builder, init, k)
 
-    # Large branch: verify N >= SMALL_LIMIT, extract parameter residues for
-    # the modulo periods in use, then offset the counter by 2N.
-    events, mods = builder.discover()
-    gate = em.fresh({"role": "large-gate"})
-    em.chain(init, _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N], gate)
-    mods = sorted(mods)
-    rho_choices = [[(b_, r) for r in range(b_)] for b_ in mods]
-    for combo in itertools.product(*rho_choices) if mods else [()]:
-        entry = em.fresh({"role": "offset", "rho": combo})
-        em.chain(gate, [op for b_, r in combo for op in _residue_ops(b_, r)] + [_PLUS_N], entry)
-        anchors = builder.emit(events, combo)
-        em.edge(entry, AddConst(0), anchors[("Z0", 0, b.initial)])
+    # Large branch: verify N >= SMALL_LIMIT, then offset the counter by 2N.
+    anchors = builder.emit(builder.discover())
+    gate = _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N] * 2
+    em.chain(init, gate, anchors[("Z0", 0, b.initial)])
 
     states, rules = _prune(em.rules, init, builder.acc)
     poca = POCA(

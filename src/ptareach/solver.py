@@ -74,23 +74,20 @@ def decide(pta: PTA, n_max: int, mode: str = "via-poca", budget: int = 200_000) 
     if pta.classification() != (2, 1):
         raise ValueError("decide expects a (2,1)-PTA")
 
-    c_max = max(pta.consts(), default=0)
+    # The completeness threshold comes from the pipeline's automaton in
+    # either mode.
+    result = _build(pta, budget)
+    poca = result.poca
+    size = poca.size()
+    qual, threshold = _completeness(n_max, size, derive_constants(poca).m)
     if mode == "direct":
-        # Completeness threshold still comes from the pipeline's automaton.
-        result = _build(pta, budget)
-        qual, threshold = _completeness(
-            n_max, result.poca.size(), derive_constants(result.poca).m
-        )
+        c_max = max(pta.consts(), default=0)
         for n in range(n_max + 1):
             run = pta_reach_bruteforce(pta, n, max(n, c_max) + 1)
             if run is not None:
                 return Verdict(True, n, mode, n_max, qual, threshold, witness=run)
         return Verdict(False, None, mode, n_max, qual, threshold)
 
-    result = _build(pta, budget)
-    poca = result.poca
-    size = poca.size()
-    qual, threshold = _completeness(n_max, size, derive_constants(poca).m)
     for n in range(n_max + 1):
         witness = poca_reach_bounded(poca, n, 0, 4 * max(n, size))
         if witness is not None:

@@ -36,6 +36,9 @@ def to_zero_one_pta(pta: PTA) -> ZeroOnePTA:
         raise ValueError(f"expected a (2,1)-PTA, got a ({m},{n_params})-PTA")
     if any("|" in s for s in pta.states):
         raise ValueError("state names may not contain '|' (reserved separator)")
+    for clock in sorted(pta.clocks):
+        if set(clock) & set("|,="):
+            raise ValueError(f"clock name {clock!r} may not contain '|', ',' or '=' (reserved)")
 
     param_clocks = sorted(pta.parametric_clocks())
     anchor = param_clocks[0]  # clock used by the always-true guard

@@ -110,6 +110,15 @@ def test_simulate_and_validate_poca(fixture_dir, tmp_path, capsys):
     assert main(["simulate", "--automaton", str(mod6), "--param", "4", "--json"]) == 1
 
 
+def test_simulate_honours_cap_zero(fixture_dir, capsys):
+    # --cap 0 is a cap, not "unset": the PTA oracle rejects a cap below its
+    # constants, and no POCA run reaches counter 5 inside [0, 0].
+    assert main(["simulate", "--automaton", str(fixture_dir / "even.json"),
+                 "--param", "2", "--cap", "0", "--json"]) == 2
+    assert main(["simulate", "--automaton", str(fixture_dir / "poca_mod6.json"),
+                 "--param", "5", "--cap", "0", "--json"]) == 1
+
+
 def test_validate_rejects_shifted_rule_indices(fixture_dir, tmp_path, capsys):
     even = fixture_dir / "even.json"
     witness = tmp_path / "w.json"

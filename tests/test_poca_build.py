@@ -7,13 +7,16 @@ import random
 import pytest
 
 from ptareach import serialize
-from ptareach.automata import Guard, PtaRule, ZeroOnePTA
+from ptareach.automata import POCA, PTA, CmpConst, Guard, ModTest, PtaRule, ZeroOnePTA
 from ptareach.fixtures import fixture_corpus, random_two_one_pta
 from ptareach.poca_build import (
     CASES,
     CROSSINGS,
     LOCKS,
     BudgetExceeded,
+    _Emitter,
+    _minus,
+    _plus,
     build_poca,
     decode_witness,
     normalize_accepting_zero,
@@ -23,7 +26,7 @@ from ptareach.semantics import (
     pta_reach_bruteforce,
     validate_run,
 )
-from ptareach.solver import find_bound_violation, zero_one_run_to_pta_run
+from ptareach.solver import cross_check, find_bound_violation, zero_one_run_to_pta_run
 from ptareach.zero_one import to_zero_one_pta
 
 
@@ -39,6 +42,71 @@ def test_rejects_unreduced_inputs():
     )
     with pytest.raises(ValueError, match="constants"):
         build_poca(b)
+
+
+def _wide_draw(seed, index, max_states=5, max_const=5):
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        pta = random_two_one_pta(rng, max_states=max_states, max_const=max_const)
+    return pta
+
+
+def _mod3_pta():
+    # The non-parametric clock w cycles every 3 time units inside LOWER_LEFT,
+    # so the dwell to y = N has progression (4, 3) and acceptance needs
+    # N = 0 (mod 3): witnesses must pass the residue check.
+    rules = (
+        PtaRule("q", Guard("w", "=", 3), frozenset({"w"}), "q"),
+        PtaRule("q", Guard("y", "=", "p"), frozenset(), "g"),
+        PtaRule("g", Guard("w", "=", 0), frozenset(), "f"),
+        PtaRule("f", Guard("x", "<=", "p"), frozenset(), "f"),
+    )
+    return PTA(frozenset({"q", "g", "f"}), frozenset({"x", "y", "w"}), frozenset({"p"}),
+               rules, "q", frozenset({"f"}))
+
+
+def test_residue_marker_checks_agreement_with_n():
+    # A ("residue", b) marker passes from counter w exactly when
+    # w = N (mod b), and hands w on unchanged.
+    for b in range(2, 7):
+        for w in range(13):
+            em = _Emitter(budget=1_000)
+            init, src, dst, final = (em.fresh() for _ in range(4))
+            em.chain(init, _plus(w), src)
+            em.link(src, ("residue", b), dst)
+            em.chain(dst, _minus(w) + [CmpConst("=", 0)], final)
+            states = frozenset({init, final} | {s for r in em.rules for s in (r.src, r.dst)})
+            poca = POCA(states, frozenset({"p"}), tuple(em.rules), init, frozenset({final}))
+            for n in range(13):
+                passed = poca_reach_bounded(poca, n, 0, 100) is not None
+                assert passed == (w % b == n % b), (b, w, n)
+
+
+def test_wide_draw_with_four_periods_builds_small():
+    # Wide draw 778/99 has dwell periods 2 to 5.  Emitting the anchor graph
+    # once per guess of N's residues took it past 100,000 states.
+    pta = _wide_draw(778, 99)
+    report = cross_check(pta, 12, budget=20_000)
+    assert report.agree, report.first_divergence
+
+
+def test_verdicts_follow_a_residue_check():
+    # Without the residue check the dwell progression (4, 3) would admit
+    # every N >= 4.
+    report = cross_check(_mod3_pta(), 12)
+    assert [row["via_poca"] for row in report.per_value] == [n % 3 == 0 for n in range(13)]
+    assert report.agree
+
+
+def test_each_anchor_annotated_once():
+    ptas = [fx.pta for fx in fixture_corpus()]
+    rng = random.Random(20260809)
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
+    for pta in ptas:
+        res = build_poca(to_zero_one_pta(pta))
+        keys = [(m["kappa"], m["slot"], m["bstate"])
+                for m in res.annotations.values() if m["role"] == "anchor"]
+        assert len(keys) == len(set(keys))
 
 
 def test_budget_enforced():
@@ -176,11 +244,14 @@ def test_no_bound_violations_near_window():
 
 def test_gadget_envelopes_hold_on_witnesses():
     # Every value between a gadget's entry and the next anchor must lie in
-    # the gadget's declared [alpha*N+beta] envelope.
+    # the gadget's declared [alpha*N+beta] envelope.  Beside the random
+    # draws, a wide draw with periods 2 to 4 and an automaton whose
+    # witnesses pass a residue check of period 3.
     rng = random.Random(424242)
+    ptas = [random_two_one_pta(rng) for _ in range(25)] + [_wide_draw(778, 228), _mod3_pta()]
     checked = 0
-    for _ in range(25):
-        pta = random_two_one_pta(rng)
+    residue_checks = 0
+    for pta in ptas:
         res = build_poca(to_zero_one_pta(pta))
         size = res.poca.size()
         for n in range(2, 8):
@@ -200,7 +271,10 @@ def test_gadget_envelopes_hold_on_witnesses():
                         current.name, conf, n,
                     )
                     checked += 1
+            ops = [res.poca.rules[i].op for i in witness.labels]
+            residue_checks += any(isinstance(op, ModTest) and op.value >= 3 for op in ops)
     assert checked > 100
+    assert residue_checks > 0
 
 
 class TestNormalizeAcceptingZero:
@@ -273,7 +347,7 @@ def test_small_branch_handles_degenerate_parameters():
 
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "a4969c65daee3fc85380f012190db66fd2d214a5b1746d87ff230e3e6894ce6f"
+BUILD_OUTPUT_SHA256 = "67047202f4201e01a4930c83778586e224371ae94e9352a92575a5fb04ac1e5d"
 
 
 def test_build_output_pinned():

@@ -35,3 +35,12 @@ def test_only_the_kernel_keeps_a_queue():
             if names & {"heapq", "collections.deque"}:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_line_over_100_characters():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if len(line) > 100:
+                found.append(f"{path.name}:{lineno}")
+    assert found == []

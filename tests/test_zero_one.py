@@ -1,6 +1,7 @@
 """The non-parametric clock/guard elimination stage."""
 
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,16 @@ def _two_param_rules(extra=()):
 def test_rejects_non_two_one_input():
     a = _pta({"a"}, {"x"}, (PtaRule("a", Guard("x", "=", "p"), frozenset(), "a"),), "a", set())
     with pytest.raises(ValueError):
+        to_zero_one_pta(a)
+
+
+@pytest.mark.parametrize("clock", ["w=1", "w,1", "w|1"])
+def test_rejects_clock_names_with_product_separators(clock):
+    # Product state names read "state|clock=value,..."; such a clock name
+    # would make product_origin misparse every product state.
+    rules = _two_param_rules((PtaRule("a", Guard(clock, "=", 1), frozenset(), "b"),))
+    a = _pta({"a", "b"}, {"x", "y", clock}, rules, "a", {"b"})
+    with pytest.raises(ValueError, match=f"clock name '{re.escape(clock)}'"):
         to_zero_one_pta(a)
 
 
