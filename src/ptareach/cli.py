@@ -241,6 +241,17 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _param_value(text: str) -> int:
+    """The argparse type of every --param: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"parameter values are non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptareach",
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="classify a clock pair")
     p.add_argument("--classify", required=True, metavar="X,Y")
-    p.add_argument("--param", type=int, required=True)
+    p.add_argument("--param", type=_param_value, required=True)
     p.set_defaults(func=_cmd_regions)
 
     p = sub.add_parser("semilinear", help="reachable counter values of a +0/+1 automaton")
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="brute-force search at one parameter value")
     p.add_argument("--automaton", required=True)
-    p.add_argument("--param", type=int, required=True)
+    p.add_argument("--param", type=_param_value, required=True)
     p.add_argument("--cap", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
@@ -292,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a witness run: replay, initial start, final end")
     p.add_argument("--run", required=True)
     p.add_argument("--automaton", required=True)
-    p.add_argument("--param", type=int, required=True)
+    p.add_argument("--param", type=_param_value, required=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("depump", help="reduce a semirun's counter effect by Gamma")
     p.add_argument("--run", required=True)
     p.add_argument("--automaton", required=True)
-    p.add_argument("--param", type=int, required=True)
+    p.add_argument("--param", type=_param_value, required=True)
     p.add_argument("--consts", required=True, help="JSON file with k, z, upsilon")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_depump)

@@ -25,8 +25,9 @@ below the dwell loop's exit value, at most 3N - 2 (the loop descends from
 c + N - 1 for an XMID anchor value c <= 2N - 1), so it peaks at 3N + b - 4
 at most.  Both stay inside the gadget envelope 3N + 6 + a + b.
 
-Parameter values 0 and 1 lack the geometry above and are handled by a
-direct finite product branch guarded by an equality test on the parameter.
+Parameter values 0 and 1 lack the geometry above.  The builder decides each
+with the brute-force 0/1 oracle, and where it accepts emits one branch that
+tests the parameter for equality and goes straight to the accepting state.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import semantics
 from .automata import (
     POCA,
     AddConst,
@@ -46,11 +48,18 @@ from .automata import (
     ZeroOnePTA,
 )
 from .regions import Region, region_automaton, region_oca, region_satisfies
-from .semantics import reachable, shortest_path, zero_one_successors
+from .semantics import (
+    PtaConfiguration,
+    Run,
+    _label_step,
+    reachable,
+    shortest_path,
+    zero_one_successors,
+)
 from .semilinear import letter_graph, reach_lengths
 
 PARAM = "p"
-SMALL_LIMIT = 2  # parameter values below this take the finite product branch
+SMALL_LIMIT = 2  # parameter values below this are decided by the 0/1 oracle
 
 
 class BudgetExceeded(RuntimeError):
@@ -687,7 +696,7 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     em = builder.em
     init = em.fresh({"role": "init"})
 
-    # Small parameter values: equality-test branches with a finite product.
+    # Small parameter values: an equality-test branch each where b accepts.
     for k in range(SMALL_LIMIT):
         _emit_small_branch(builder, init, k)
 
@@ -732,54 +741,23 @@ def _prune(rules, init, acc):
 
 
 def _emit_small_branch(builder, init, k):
-    """Finite product for parameter value k, entered through '= p' on k."""
-    b = builder.b
-    em = builder.em
-    cap = k + 1
-    cx, cy = builder.clocks
-    entry = em.fresh({"role": "small", "n": k})
-    em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
+    """'= p' on k from init straight to the accepting state, if b accepts at k."""
+    if _small_run(builder.b, k) is None:
+        return
+    entry = builder.em.fresh({"role": "small", "n": k})
+    builder.em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
+    builder.em.edge(entry, AddConst(0), builder.acc)
 
-    names = {}
 
-    def product_state(bstate, vx, vy):
-        key = (bstate, vx, vy)
-        if key not in names:
-            names[key] = em.fresh(
-                {"role": "small-product", "n": k, "bstate": bstate, "vx": vx, "vy": vy}
-            )
-        return names[key]
-
-    # Clock values saturate at cap = k + 1.  Guards read the unsaturated
-    # value, at most cap + 1, which agrees with the saturated one because
-    # the only guard constants are 0 and the parameter value k.
-    def successors(key):
-        bstate, vx, vy = key
-        src = names[key]
-        if bstate in b.finals:
-            em.edge(src, AddConst(0), builder.acc)
-        for _, dst, vals in zero_one_successors(b, k, (bstate, ((cx, vx), (cy, vy)))):
-            nxt = (dst, min(vals[cx], cap), min(vals[cy], cap))
-            em.edge(src, AddConst(0), product_state(*nxt))
-            yield nxt
-
-    em.edge(entry, AddConst(0), product_state(b.initial, 0, 0))
-    reachable([(b.initial, 0, 0)], successors)
+def _small_run(b: ZeroOnePTA, k: int):
+    """An accepting run of b at a parameter value k < SMALL_LIMIT, or None."""
+    # Read off the module at call time, so a wrapper installed there sees it.
+    return semantics.zero_one_reach_bruteforce(b, k, max(k, 1) + 1)
 
 
 # ---------------------------------------------------------------------------
 # Witness decoding
 # ---------------------------------------------------------------------------
-
-
-_LOCK_DELTA = {
-    "lock_y_main": lambda case, z0, z1, n: z1 - z0 - 1,
-    "lock_x_main": lambda case, z0, z1, n: -z1 - 1,
-    "lock_y_mirror": lambda case, z0, z1, n: z1 - 1,
-    "lock_x_mirror": lambda case, z0, z1, n: z0 - z1 - 1,
-    "lock_x_lr": lambda case, z0, z1, n: (z0 - n - 1 - z1) if case == "LR_LEFT" else (-z1 - 1),
-    "lock_y_ul": lambda case, z0, z1, n: (z1 - n - 1 - z0) if case == "UL_TOP" else (z1 - 1),
-}
 
 
 class DecodeError(RuntimeError):
@@ -789,28 +767,22 @@ class DecodeError(RuntimeError):
 def decode_witness(result: BuildResult, n: int, run) -> "object":
     """Reconstruct an accepting run of the source 0/1-PTA from a POCA witness.
 
-    For small parameter values the finite branch carries no dwell data, so
-    the run is re-derived with the brute-force oracle; for the main branch
-    the region chain, gadget annotations, and counter values determine the
-    dwell times, from which concrete region paths are rebuilt.
+    A witness through a small-value branch carries no dwell data, so the run
+    comes from the brute-force oracle.  On the main branch each event names
+    the rule it takes, and its dwell follows from the clock valuation reached
+    so far: a full crossing of an open cell dwells until the largest clock
+    inside (0, N) reaches N - 1; a lock reset dwells until the clock it keeps
+    reaches |z| at the next anchor, where z is the new difference; any other
+    event dwells the least element of its progression, or zero without one.
     """
-    from .semantics import PtaConfiguration, Run, _label_step, zero_one_reach_bruteforce
-
     b = result.source
-    states = [c.state for c in run.configs]
-    if any(result.annotation(s).get("role") in ("small", "small-product") for s in states):
-        decoded = zero_one_reach_bruteforce(b, n, max(n, 1) + 1)
+    if any(result.annotation(c.state).get("role") == "small" for c in run.configs):
+        decoded = _small_run(b, n)
         if decoded is None:
             raise DecodeError("small branch accepted but the oracle disagrees")
         return decoded
 
     cx, cy = sorted(b.clocks)
-    events = []
-    for i, state in enumerate(states):
-        meta = result.annotation(state)
-        if meta.get("role") == "event":
-            events.append((i, meta))
-
     configs = [PtaConfiguration.make(b.initial, {cx: 0, cy: 0})]
     labels = []
     step = _label_step(b, n)
@@ -842,46 +814,33 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
         for label in found[1]:
             extend(*label)
 
-    for pos, meta in events:
+    def fire(meta, steps):
+        """Dwell `steps` time units, then take the event's rule."""
         ev = meta["event"]
-        kappa, slot = meta["kappa"], meta["slot"]
-        region = CHAINS[kappa][slot]
-        case = CELL_CASE.get((kappa, region))
-        u = meta["u"]
-        z_before = run.configs[pos].counter - 2 * n
-
+        dwell(meta["u"], ev["v"], steps)
         if ev["type"] == "cross":
-            if "gen" in ev:
-                steps = _traverse_dwell(case, z_before, n)
-            else:
-                steps = 0
-            dwell(u, ev["v"], steps)
             extend(len(b.rules0) + ev["rule1"], 1)
+        elif ev["type"] == "reset":
+            extend(ev["rule0"], 0)
+
+    lock = None  # a lock reset's event, until the next anchor shows its new difference
+    for conf in run.configs:
+        meta = result.annotation(conf.state)
+        if lock is not None and meta.get("role") == "anchor":
+            kept = cy if cx in b.rules0[lock["event"]["rule0"]].resets else cx
+            fire(lock, abs(conf.counter - 2 * n) - configs[-1].value(kept))
+            lock = None
+        if meta.get("role") != "event":
             continue
-
-        if ev["type"] == "accept":
-            steps = ev["gen"][0] if "gen" in ev else 0
-            dwell(u, ev["v"], steps)
-            break
-
-        style = ev["style"]
-        if style in _LOCK_DELTA:
-            # find the counter at the event's target anchor
-            z_after = None
-            for j in range(pos + 1, len(run.configs)):
-                role = result.annotation(run.configs[j].state).get("role")
-                if role == "anchor":
-                    z_after = run.configs[j].counter - 2 * n
-                    break
-            if z_after is None:
-                raise DecodeError("lock reset without a following anchor")
-            steps = _LOCK_DELTA[style](case, z_before, z_after, n)
-        elif style in ("point",):
-            steps = 0
-        else:  # ur / exist_then use the minimal progression element
-            steps = ev["gen"][0] if "gen" in ev else 0
-        dwell(u, ev["v"], steps)
-        extend(ev["rule0"], 0)
+        ev = meta["event"]
+        if ev.get("style") in LOCKS:
+            lock = meta
+        elif ev["type"] == "cross" and "gen" in ev:
+            fire(meta, n - 1 - max(t for _, t in configs[-1].valuation if 0 < t < n))
+        else:
+            fire(meta, ev["gen"][0] if "gen" in ev else 0)
+    if lock is not None:
+        raise DecodeError("lock reset without a following anchor")
 
     # Every step went through the exact stepper in extend, so the run is
     # valid by construction; only acceptance is left to check.

@@ -55,20 +55,26 @@ def op_to_obj(op) -> dict:
     raise ValueError(f"unknown counter operation: {op!r}")
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"operation {key} must be an integer: {value!r}")
+    return value
+
+
 def op_from_obj(obj: dict):
     kind = obj.get("kind")
     if kind == "add":
-        return AddConst(obj["value"])
+        return AddConst(_int_field(obj, "value"))
     if kind == "addp":
-        return AddParam(obj["sign"], obj["param"])
+        return AddParam(_int_field(obj, "sign"), obj["param"])
     if kind == "mod":
-        return ModTest(obj["value"])
+        return ModTest(_int_field(obj, "value"))
     if kind == "cmp":
-        rhs = obj["rhs"]
         cmp = normalize_cmp(obj["cmp"])
-        if isinstance(rhs, str):
-            return CmpParam(cmp, rhs)
-        return CmpConst(cmp, rhs)
+        if isinstance(obj["rhs"], str):
+            return CmpParam(cmp, obj["rhs"])
+        return CmpConst(cmp, _int_field(obj, "rhs"))
     raise ValueError(f"unknown operation kind: {kind!r}")
 
 

@@ -353,3 +353,33 @@ def test_build_cache_holds_one_entry():
     for pta in ptas:
         solver.decide(pta, 2)
     assert solver._build.cache_info().currsize == 1
+
+
+def test_negative_param_rejected(fixture_dir, capsys):
+    # Parameter values are non-negative: -1 is no alias of 5 modulo 6.
+    mod6 = str(fixture_dir / "poca_mod6.json")
+    for argv in (
+        ["regions", "--classify", "1,1"],
+        ["simulate", "--automaton", mod6],
+        ["validate", "--run", mod6, "--automaton", mod6],
+        ["depump", "--run", mod6, "--automaton", mod6, "--consts", mod6],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--param", "-1"])
+        assert exc.value.code == 2, argv
+        assert "--param" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("op", [
+    {"kind": "add", "value": True},
+    {"kind": "mod", "value": 1.5},
+    {"kind": "cmp", "cmp": "=", "rhs": 2.5},
+])
+def test_parse_rejects_non_integral_operations(tmp_path, capsys, op):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "kind": "poca", "states": ["q"], "params": ["p"],
+        "rules": [{"from": "q", "op": op, "to": "q"}], "initial": "q", "finals": ["q"],
+    }))
+    assert main(["parse", "--input", str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err

@@ -7,7 +7,16 @@ import random
 import pytest
 
 from ptareach import serialize
-from ptareach.automata import POCA, PTA, CmpConst, Guard, ModTest, PtaRule, ZeroOnePTA
+from ptareach.automata import (
+    POCA,
+    PTA,
+    AddConst,
+    CmpConst,
+    Guard,
+    ModTest,
+    PtaRule,
+    ZeroOnePTA,
+)
 from ptareach.fixtures import fixture_corpus, random_two_one_pta
 from ptareach.poca_build import (
     CASES,
@@ -63,6 +72,78 @@ def _mod3_pta():
     )
     return PTA(frozenset({"q", "g", "f"}), frozenset({"x", "y", "w"}), frozenset({"p"}),
                rules, "q", frozenset({"f"}))
+
+
+def _rows_pta(*rows):
+    # A PTA from (src, clock, cmp, rhs, resets, dst) rows, starting at the
+    # first row's source and accepting in "f".  A clock that no row compares
+    # with p gets an idle "x <= p" loop at f, so both clocks are parametric.
+    rules = [PtaRule(src, Guard(c, cmp, rhs), frozenset(resets), dst)
+             for src, c, cmp, rhs, resets, dst in rows]
+    idle = {"x", "y"} - {r.guard.clock for r in rules if r.guard.parametric}
+    rules += [PtaRule("f", Guard(c, "<=", "p"), frozenset(), "f") for c in sorted(idle)]
+    states = frozenset(s for r in rules for s in (r.src, r.dst))
+    return PTA(states, frozenset({"x", "y"}), frozenset({"p"}), tuple(rules), rows[0][0],
+               frozenset({"f"}))
+
+
+# Automata whose shortest witnesses pass a gadget that no random draw's
+# witness passes, each with the gadget's name (kind:style or case).  Constant
+# guards and the zero-delay chain trick pin where each reset happens.
+GADGET_PTAS = (
+    # y reset at x = N; x reset inside LOWER_RIGHT (x > N > y), pinned by
+    # y < p at zero delay.
+    ("reset:lock_x_lr", _rows_pta(
+        ("q0", "y", "=", "p", "y", "q1"), ("q1", "x", ">", "p", "x", "a"),
+        ("a", "y", "<", "p", "", "b"), ("b", "x", "=", 0, "", "q2"),
+        ("q2", "y", "=", "p", "", "f"),
+    )),
+    ("reset:lock_y_ul", _rows_pta(
+        ("q0", "x", "=", "p", "x", "q1"), ("q1", "y", ">", "p", "y", "a"),
+        ("a", "x", "<", "p", "", "b"), ("b", "y", "=", 0, "", "q2"),
+        ("q2", "x", "=", "p", "", "f"),
+    )),
+    # x reset at 1, then y reset inside LOWER_LEFT above the diagonal (N >= 3).
+    ("reset:lock_y_mirror", _rows_pta(
+        ("q0", "y", "=", 1, "x", "q1"), ("q1", "y", "<", "p", "y", "a"),
+        ("a", "x", ">=", 1, "", "b"), ("b", "y", "=", 0, "", "f"),
+    )),
+    # Both clocks reset inside LOWER_LEFT; y reset inside LOWER_RIGHT.
+    ("reset:exist_then", _rows_pta(
+        ("q0", "x", ">=", 1, "", "a"), ("a", "x", "<", "p", "xy", "f"),
+    )),
+    ("reset:exist_then", _rows_pta(
+        ("q0", "y", "=", "p", "y", "q1"), ("q1", "y", ">=", 1, "", "a"),
+        ("a", "x", ">", "p", "", "b"), ("b", "y", "<", "p", "y", "f"),
+    )),
+    # Crossings from x = N, y = N - 1 straight to y = N, and mirrored.
+    ("cross:z=1", _rows_pta(
+        ("q0", "y", "=", 1, "y", "q1"), ("q1", "y", "=", "p", "", "f"),
+    )),
+    ("cross:z=-1", _rows_pta(
+        ("q0", "x", "=", 1, "x", "q1"), ("q1", "x", "=", "p", "", "f"),
+    )),
+    # Full crossings: y = p (or x = p) after a reset that leaves the
+    # difference at 2 (N >= 3), at N or beyond N.
+    ("cross:LR_LEFT", _rows_pta(
+        ("q0", "y", "=", 2, "y", "q1"), ("q1", "y", "=", "p", "", "f"),
+    )),
+    ("cross:LR_ZN", _rows_pta(
+        ("q0", "y", "=", "p", "y", "q1"), ("q1", "y", "=", "p", "", "f"),
+    )),
+    ("cross:LR_ZN1", _rows_pta(
+        ("q0", "x", ">", "p", "y", "q1"), ("q1", "y", "=", "p", "", "f"),
+    )),
+    ("cross:UL_TOP", _rows_pta(
+        ("q0", "x", "=", 2, "x", "q1"), ("q1", "x", "=", "p", "", "f"),
+    )),
+    ("cross:UL_ZN", _rows_pta(
+        ("q0", "x", "=", "p", "x", "q1"), ("q1", "x", "=", "p", "", "f"),
+    )),
+    ("cross:UL_ZN1", _rows_pta(
+        ("q0", "y", ">", "p", "x", "q1"), ("q1", "x", "=", "p", "", "f"),
+    )),
+)
 
 
 def test_residue_marker_checks_agreement_with_n():
@@ -329,7 +410,7 @@ class TestNormalizeAcceptingZero:
 
 
 def test_small_branch_handles_degenerate_parameters():
-    # Parameter values 0 and 1 lack full region geometry; the finite branch
+    # Parameter values 0 and 1 lack full region geometry; the small branch
     # must still agree with the direct oracle on every fixture.
     for fx in fixture_corpus():
         c_max = max(fx.pta.consts(), default=0)
@@ -345,9 +426,58 @@ def test_small_branch_handles_degenerate_parameters():
                 assert validate_run(b_run, res.source, n) == (True, None)
 
 
+def test_small_values_leave_one_entry_state_each():
+    # N = 0 and N = 1 are decided while building: the POCA has a "small"
+    # state for k exactly when the automaton accepts at k, its only rule
+    # leads to the accepting state, and no product follows it.
+    for fx in fixture_corpus():
+        res = build_poca(to_zero_one_pta(fx.pta))
+        roles = [m["role"] for m in res.annotations.values()]
+        small = {m["n"]: s for s, m in res.annotations.items() if m["role"] == "small"}
+        assert set(small) == {k for k in (0, 1) if fx.accepts(k)}, fx.name
+        for state in small.values():
+            out = [(r.op, r.dst) for r in res.poca.rules if r.src == state]
+            assert out == [(AddConst(0), next(iter(res.poca.finals)))], fx.name
+        assert "small-product" not in roles, fx.name
+
+
+# sha256 of repr((decoded 0/1 run, projected PTA run)) for every witness at
+# N <= 8 of GADGET_PTAS, the fixtures and the acceptance corpus's random
+# draws.  Decoding must keep it unless a change means to alter the runs.
+DECODE_OUTPUT_SHA256 = "6fe25f011effdf0e69df1d7019d910294d2fa269f9250b52d91247247c4590cc"
+
+
+def test_decode_output_pinned():
+    ptas = [(None, fx.pta) for fx in fixture_corpus()] + list(GADGET_PTAS)
+    rng = random.Random(20260809)
+    ptas += [(None, random_two_one_pta(rng, max_states=3)) for _ in range(110)]
+    digest = hashlib.sha256()
+    decoded = set()
+    for gadget, pta in ptas:
+        res = build_poca(to_zero_one_pta(pta))
+        size = res.poca.size()
+        passed = set()
+        for n in range(9):
+            witness = poca_reach_bounded(res.poca, n, 0, 4 * max(n, size))
+            if witness is None:
+                continue
+            b_run = decode_witness(res, n, witness)
+            a_run = zero_one_run_to_pta_run(pta, n, b_run)
+            assert validate_run(a_run, pta, n) == (True, None)
+            digest.update(repr((b_run, a_run)).encode())
+            passed |= {res.gadgets[c.state].name for c in witness.configs
+                       if c.state in res.gadgets}
+        assert gadget is None or gadget in passed, gadget
+        decoded |= {name.partition(":")[2] for name in passed}
+    assert digest.hexdigest() == DECODE_OUTPUT_SHA256
+    # Every gadget kind the build pin asks the corpus to emit is decoded.
+    conds = {cond for edges in CROSSINGS.values() for _, cond in edges if cond}
+    assert set(LOCKS) | set(CASES) | conds | {"point", "ur", "exist_then"} <= decoded
+
+
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "67047202f4201e01a4930c83778586e224371ae94e9352a92575a5fb04ac1e5d"
+BUILD_OUTPUT_SHA256 = "acc55f1bdbf2bbb845b8b3d23bf46d0979c09c09ba9193bda5537a5da05ad0b4"
 
 
 def test_build_output_pinned():

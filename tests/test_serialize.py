@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ptareach import serialize
+from ptareach.automata import CmpConst
 from ptareach.fixtures import (
     fixture_corpus,
     poca_mod6_fixture,
@@ -92,6 +93,20 @@ def test_unknown_kind_and_cmp_rejected():
         serialize.op_from_obj({"kind": "cmp", "cmp": "!=", "rhs": 3})
     with pytest.raises(ValueError):
         serialize.op_from_obj({"kind": "teleport"})
+
+
+def test_operation_numbers_must_be_integers():
+    # Bools and non-integral numbers are no counter constants, as in guards.
+    for obj, field in (
+        ({"kind": "add", "value": True}, "value"),
+        ({"kind": "addp", "sign": 1.0, "param": "p"}, "sign"),
+        ({"kind": "mod", "value": 1.5}, "value"),
+        ({"kind": "cmp", "cmp": "=", "rhs": 2.5}, "rhs"),
+        ({"kind": "cmp", "cmp": "<=", "rhs": False}, "rhs"),
+    ):
+        with pytest.raises(ValueError, match=f"operation {field} must be an integer"):
+            serialize.op_from_obj(obj)
+    assert serialize.op_from_obj({"kind": "cmp", "cmp": "=", "rhs": 2}) == CmpConst("=", 2)
 
 
 def test_run_round_trips():

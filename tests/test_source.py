@@ -44,3 +44,25 @@ def test_no_line_over_100_characters():
             if len(line) > 100:
                 found.append(f"{path.name}:{lineno}")
     assert found == []
+
+
+def test_no_unused_module_imports():
+    # A name imported at module level and read nowhere in the module is a
+    # leftover of an edit.  __init__.py imports only to re-export.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
