@@ -14,6 +14,15 @@ a chosen progression and restore the counter; resets lock a nondeterministic
 dwell into the new counter value; point-like regions admit only zero dwell,
 which is a static epsilon-reachability check.
 
+Every unannotated state is named by its whole future: a chain interior by
+its one (op, next state), and a loop hub -- a lock's dwell loop or a walk of
+the counter to the pin -- by (step, period, exit ops, destination).  The
+emitter creates such a state with all its rules when its name is first asked
+for and never adds a rule to it later, so gadgets with the same future share
+it and no two unannotated states are bisimilar.  Annotated states (anchors
+and event headers) are never shared, and no cycle passes through one, since
+the decoder fires an event each time a witness visits its header.
+
 A gadget whose progression has period b >= 2 and whose bound is N also
 checks w = N (mod b) in place: a ("residue", b) marker expands into b
 restoring branches, branch r testing w = r and then w + N = 2r (mod b).  Some
@@ -197,6 +206,7 @@ class BuildResult:
     source: ZeroOnePTA
     max_gadget_const: int
     gadgets: dict = field(default_factory=dict)  # event-header state -> GadgetSpec
+    small_runs: dict = field(default_factory=dict)  # accepted k < SMALL_LIMIT -> 0/1 run
 
     def annotation(self, state: str) -> dict:
         return self.annotations.get(state, {})
@@ -211,12 +221,19 @@ def _minus(k: int):
 
 
 class _Emitter:
+    """Allocates states and threads op lists between them.
+
+    The caller names annotated states and passes them as chain ends; every
+    other state is a shared tail, named by its whole future (see the module
+    doc).
+    """
+
     def __init__(self, budget: int):
         self.budget = budget
         self.rules = []
         self.annotations = {}
         self.counter = itertools.count()
-        self.tails = {}  # (op, dst) -> the unannotated state whose one rule is op to dst
+        self.tails = {}  # (op, dst) -> the unannotated state whose future is op, then dst
 
     def fresh(self, meta: Optional[dict] = None) -> str:
         index = next(self.counter)
@@ -231,49 +248,51 @@ class _Emitter:
         self.rules.append(PocaRule(src, op, dst))
 
     def link(self, src: str, op, dst: str) -> None:
-        """One op from src to dst.  A ("collapse", step) marker walks the
-        counter by step until z = 0 and pins it there; a ("residue", b)
-        marker checks the counter against N modulo b (see the module doc)."""
+        """One op from src to dst.  A loop marker enters its hub; a
+        ("residue", b) marker checks the counter against N modulo b (see the
+        module doc)."""
         if not isinstance(op, tuple):
             self.edge(src, op, dst)
-        elif op[0] == "collapse":
-            self.chain(self.loop(src, op[1], 1), _zcond_ops("z=0"), dst)
+        elif op[0] == "loop":
+            # A +0 hop, since src may be annotated and no cycle sits on one.
+            self.edge(src, AddConst(0), self.tail(op, dst))
         else:
             b = op[1]
             for r in range(b):
                 ops = _residue_ops(b, r) + [_PLUS_N] + _residue_ops(b, 2 * r % b) + [_MINUS_N]
                 self.chain(src, ops, dst)
 
+    def tail(self, op, dst: str) -> str:
+        """The unannotated state whose whole future is op, then dst.
+
+        It is created, with its rules, when (op, dst) is first asked for,
+        and no rule is added to it later.  A ("loop", step, period, exit)
+        marker names its hub: a cycle adding step at each of period rules,
+        and the exit ops from the hub to dst.
+        """
+        if (op, dst) not in self.tails:
+            state = self.tails[op, dst] = self.fresh()
+            if isinstance(op, tuple) and op[0] == "loop":
+                _, step, period, exit_ops = op
+                cur = state
+                for _ in range(period - 1):
+                    cur = self.tail(AddConst(step), cur)
+                self.edge(state, AddConst(step), cur)
+                self.chain(state, exit_ops, dst)
+            else:
+                self.link(state, op, dst)
+        return self.tails[op, dst]
+
     def chain(self, src: str, ops, dst: str) -> None:
         """Thread a list of counter operations from src to dst.
 
-        The interior is built backwards from dst, and each interior state is
-        named by its one outgoing (op, next state), so chains that end in
-        the same ops to the same state share that tail.
+        The interior is built backwards from dst out of shared tail states,
+        so chains that end in the same ops to the same state share them.
         """
         ops = list(ops) or [AddConst(0)]
         for op in reversed(ops[1:]):
-            if (op, dst) not in self.tails:
-                self.tails[op, dst] = self.fresh()
-                self.link(self.tails[op, dst], op, dst)
-            dst = self.tails[op, dst]
+            dst = self.tail(op, dst)
         self.link(src, ops[0], dst)
-
-    def loop(self, src: str, step: int, period: int) -> str:
-        """A nondeterministic loop adding step*period per iteration.
-
-        Returns the state from which any number of iterations (including
-        zero) has been taken; the period is at least 1.
-        """
-        hub = self.fresh()
-        self.edge(src, AddConst(0), hub)
-        cur = hub
-        for _ in range(period - 1):
-            nxt = self.fresh()
-            self.edge(cur, AddConst(step), nxt)
-            cur = nxt
-        self.edge(cur, AddConst(step), hub)
-        return hub
 
 
 class _RegionTables(dict):
@@ -412,41 +431,38 @@ def _exist_ops(case: str, gen: tuple):
     return _restore([_MINUS_N] * descents, [CmpConst(">=", lift)])
 
 
-def _traverse_dwell(case: str, z: int, n: int) -> int:
-    """The dwell a traversal gadget admits at difference z."""
-    bound, descents, extra = CASES[case]
-    w = z + (2 - descents) * n
-    return (n - w if bound == "N" else w) - 2 - extra
+def _loop(step: int, period: int, exit_ops):
+    """Ops that run a cycle of `period` rules adding step any number of
+    times, then exit_ops; with period 0 there is no cycle."""
+    return [("loop", step, period, tuple(exit_ops))] if period else list(exit_ops)
 
 
 # Lock resets turn the dwell beyond the progression offset a into the new
-# counter.  Per style, (a, period, extra dwell) -> (ops before the
-# dwell loop, loop step, loop period, restoring check after it).
+# counter.  Per style, (a, period, extra dwell) -> the gadget's ops: a lead-in,
+# a dwell loop of the period, and a restoring check after it.
 LOCKS = {
     # new difference z+1+delta, verified <= N-1
-    "lock_y_main": lambda a, b, extra: (_plus(1 + a), 1, b, _zcond_ops("z<=N-1")),
+    "lock_y_main": lambda a, b, extra: _plus(1 + a) + _loop(1, b, _zcond_ops("z<=N-1")),
     # new difference -(1+delta): descend by N, climb at least once, then
     # pin the climb target against the progression.
-    "lock_x_main": lambda a, b, extra: (
-        [_MINUS_N, AddConst(1)], 1, 1,
-        _restore(_plus(1 + a) + [_MINUS_N], _bound_test("N", "<=", b)),
+    "lock_x_main": lambda a, b, extra: [_MINUS_N, AddConst(1)] + _loop(
+        1, 1, _restore(_plus(1 + a) + [_MINUS_N], _bound_test("N", "<=", b)),
     ),
     # new difference 1+delta: climb by N, descend at least once, pin.
-    "lock_y_mirror": lambda a, b, extra: (
-        [_PLUS_N, AddConst(-1)], -1, 1,
-        _restore(_minus(1 + a) + [_MINUS_N], _bound_test("N", ">=", b)),
+    "lock_y_mirror": lambda a, b, extra: [_PLUS_N, AddConst(-1)] + _loop(
+        -1, 1, _restore(_minus(1 + a) + [_MINUS_N], _bound_test("N", ">=", b)),
     ),
     # new difference z-1-delta, verified >= 1-N
-    "lock_x_mirror": lambda a, b, extra: (_minus(1 + a), -1, b, _zcond_ops("z>=1-N")),
+    "lock_x_mirror": lambda a, b, extra: _minus(1 + a) + _loop(-1, b, _zcond_ops("z>=1-N")),
     # from LOWER_RIGHT: new difference z-N-1-delta (left entry) or
     # -(1+delta) (bottom entries), same shifted form either way.
     "lock_x_lr": lambda a, b, extra: (
-        [_MINUS_N] + _minus(1 + extra + a), -1, b, _zcond_ops("z>=1-N"),
+        [_MINUS_N] + _minus(1 + extra + a) + _loop(-1, b, _zcond_ops("z>=1-N"))
     ),
     # from UPPER_LEFT: new difference N+1+z+delta (top entry) or 1+delta
     # (left entries), verified <= N-1.
     "lock_y_ul": lambda a, b, extra: (
-        [_PLUS_N] + _plus(1 + extra + a), 1, b, _zcond_ops("z<=N-1"),
+        [_PLUS_N] + _plus(1 + extra + a) + _loop(1, b, _zcond_ops("z<=N-1"))
     ),
 }
 
@@ -479,16 +495,15 @@ def _dwell_keys(gen):
 
 
 # Ops taking the shifted counter from z + 2N to exactly 2N, per class.  The
-# ranged classes get a marker that _Emitter.link expands into a walk to the
-# pin.
+# ranged classes walk the counter in a loop until z = 0.
 _COLLAPSE = {
     "Z0": [],
     "YN": [_MINUS_N],
     "YHI": [_MINUS_N, AddConst(-1)],
     "XN": [_PLUS_N],
     "XHI": [_PLUS_N, AddConst(1)],
-    "YMID": [("collapse", -1)],
-    "XMID": [("collapse", +1)],
+    "YMID": _loop(-1, 1, _zcond_ops("z=0")),
+    "XMID": _loop(+1, 1, _zcond_ops("z=0")),
 }
 
 # Reset action -> (collapses first, ops realizing the new difference).
@@ -528,18 +543,34 @@ class _Builder:
         self.gadget_specs = {}
         self.max_const = 0
 
-    # -- abstract event discovery ------------------------------------------
-
     def discover(self):
-        """Walk the anchor graph once; returns the feasible events per anchor key."""
-        events = {}
+        """Walk the anchor graph once, emitting each anchor's gadgets as the
+        walk reaches it; returns the anchor states by key."""
+        anchors = {}
+
+        def anchor(key):
+            if key not in anchors:
+                kappa, slot, u = key
+                anchors[key] = self.em.fresh(
+                    {
+                        "role": "anchor",
+                        "kappa": kappa,
+                        "slot": slot,
+                        "region": CHAINS[kappa][slot].name,
+                        "bstate": u,
+                    }
+                )
+            return anchors[key]
 
         def successors(key):
-            events[key] = found = self._anchor_events(*key)
-            yield from (ev["next"] for ev in found if "next" in ev)
+            src = anchor(key)
+            for ev in self._anchor_events(*key):
+                self._emit_event(src, key, ev, anchor)
+                if "next" in ev:
+                    yield ev["next"]
 
         reachable([("Z0", 0, self.b.initial)], successors)
-        return events
+        return anchors
 
     def _rules(self, region, bit):
         """The resetting rules0 (bit 0) or the rules1 (bit 1) whose guards
@@ -597,37 +628,10 @@ class _Builder:
                 break
         return out
 
-    # -- emission ------------------------------------------------------------
-
-    def emit(self, events):
-        """Emit the large-parameter automaton; returns its anchor states."""
-        anchors = {}
-
-        def anchor(key):
-            if key not in anchors:
-                kappa, slot, u = key
-                anchors[key] = self.em.fresh(
-                    {
-                        "role": "anchor",
-                        "kappa": kappa,
-                        "slot": slot,
-                        "region": CHAINS[kappa][slot].name,
-                        "bstate": u,
-                    }
-                )
-            return anchors[key]
-
-        for key, evs in events.items():
-            src = anchor(key)
-            kappa, slot, u = key
-            region = CHAINS[kappa][slot]
-            case = CELL_CASE.get((kappa, region))
-            for ev in evs:
-                self._emit_event(src, key, case, ev, anchor)
-        return anchors
-
-    def _emit_event(self, src, key, case, ev, anchor):
+    def _emit_event(self, src, key, ev, anchor):
+        """The event's header state under anchor src, and its gadget."""
         kappa, slot, u = key
+        case = CELL_CASE.get((kappa, CHAINS[kappa][slot]))
         meta = {
             "role": "event",
             "kappa": kappa,
@@ -646,29 +650,21 @@ class _Builder:
             lo=(0, 0),
             hi=(3, slack),
         )
+        target = self.acc if ev["type"] == "accept" else anchor(ev["next"])
         if ev.get("style") in LOCKS:
-            self._emit_lock_reset(head, case, ev, anchor(ev["next"]))
+            # A lock turns a nondeterministic dwell into the new counter.
+            a, b_period = gen
+            self.max_const = max(self.max_const, a + 3, b_period)
+            self.em.chain(head, LOCKS[ev["style"]](a, b_period, CASES[case][2]), target)
             return
         ops = _zcond_ops(ev["cond"]) if ev.get("cond") else []
-        if "gen" in ev:
+        if gen:
             check = _traverse_ops if ev["type"] == "cross" else _exist_ops
-            ops += check(case, ev["gen"])
+            ops += check(case, gen)
         if ev["type"] == "reset":
             ops += _action_ops(kappa, ev["action"])
         self._note_consts(ops)
-        self.em.chain(head, ops, self.acc if ev["type"] == "accept" else anchor(ev["next"]))
-
-    def _emit_lock_reset(self, head, case, ev, target):
-        """Gadgets that turn a nondeterministic dwell into the new counter."""
-        a, b_period = ev["gen"]
-        self.max_const = max(self.max_const, a + 3, b_period)
-        pre, step, period, post = LOCKS[ev["style"]](a, b_period, CASES[case][2])
-        if period == 0:
-            self.em.chain(head, pre + post, target)
-            return
-        cur = self.em.fresh()
-        self.em.chain(head, pre, cur)
-        self.em.chain(self.em.loop(cur, step, period), post, target)
+        self.em.chain(head, ops, target)
 
     def _note_consts(self, ops):
         for op in ops:
@@ -696,12 +692,21 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     em = builder.em
     init = em.fresh({"role": "init"})
 
-    # Small parameter values: an equality-test branch each where b accepts.
+    # Small parameter values: the 0/1 oracle decides each, and where b accepts
+    # an equality test on k leads from init straight to the accepting state.
+    # The oracle is read off its module at call time, so a wrapper installed
+    # there sees it.
+    small_runs = {}
     for k in range(SMALL_LIMIT):
-        _emit_small_branch(builder, init, k)
+        run = semantics.zero_one_reach_bruteforce(b, k, max(k, 1) + 1)
+        if run is not None:
+            small_runs[k] = run
+            entry = em.fresh({"role": "small", "n": k})
+            em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
+            em.edge(entry, AddConst(0), builder.acc)
 
     # Large branch: verify N >= SMALL_LIMIT, then offset the counter by 2N.
-    anchors = builder.emit(builder.discover())
+    anchors = builder.discover()
     gate = _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N] * 2
     em.chain(init, gate, anchors[("Z0", 0, b.initial)])
 
@@ -719,6 +724,7 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
         source=b,
         max_gadget_const=builder.max_const,
         gadgets={s: g for s, g in builder.gadget_specs.items() if s in states},
+        small_runs=small_runs,
     )
 
 
@@ -740,21 +746,6 @@ def _prune(rules, init, acc):
     return live, [r for r in rules if r.src in live and r.dst in live]
 
 
-def _emit_small_branch(builder, init, k):
-    """'= p' on k from init straight to the accepting state, if b accepts at k."""
-    if _small_run(builder.b, k) is None:
-        return
-    entry = builder.em.fresh({"role": "small", "n": k})
-    builder.em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
-    builder.em.edge(entry, AddConst(0), builder.acc)
-
-
-def _small_run(b: ZeroOnePTA, k: int):
-    """An accepting run of b at a parameter value k < SMALL_LIMIT, or None."""
-    # Read off the module at call time, so a wrapper installed there sees it.
-    return semantics.zero_one_reach_bruteforce(b, k, max(k, 1) + 1)
-
-
 # ---------------------------------------------------------------------------
 # Witness decoding
 # ---------------------------------------------------------------------------
@@ -767,20 +758,18 @@ class DecodeError(RuntimeError):
 def decode_witness(result: BuildResult, n: int, run) -> "object":
     """Reconstruct an accepting run of the source 0/1-PTA from a POCA witness.
 
-    A witness through a small-value branch carries no dwell data, so the run
-    comes from the brute-force oracle.  On the main branch each event names
-    the rule it takes, and its dwell follows from the clock valuation reached
-    so far: a full crossing of an open cell dwells until the largest clock
-    inside (0, N) reaches N - 1; a lock reset dwells until the clock it keeps
-    reaches |z| at the next anchor, where z is the new difference; any other
-    event dwells the least element of its progression, or zero without one.
+    A witness through a small-value branch carries no dwell data; its run is
+    the one the 0/1 oracle found while building.  On the main branch each
+    event names the rule it takes, and its dwell follows from the clock
+    valuation reached so far: a full crossing of an open cell dwells until
+    the largest clock inside (0, N) reaches N - 1; a lock reset dwells until
+    the clock it keeps reaches |z| at the next anchor, where z is the new
+    difference; any other event dwells the least element of its
+    progression, or zero without one.
     """
     b = result.source
     if any(result.annotation(c.state).get("role") == "small" for c in run.configs):
-        decoded = _small_run(b, n)
-        if decoded is None:
-            raise DecodeError("small branch accepted but the oracle disagrees")
-        return decoded
+        return result.small_runs[n]
 
     cx, cy = sorted(b.clocks)
     configs = [PtaConfiguration.make(b.initial, {cx: 0, cy: 0})]

@@ -441,6 +441,25 @@ def test_small_values_leave_one_entry_state_each():
         assert "small-product" not in roles, fx.name
 
 
+def test_small_witness_decodes_to_the_run_kept_at_build(monkeypatch):
+    # The build already ran the 0/1 oracle for N < 2; decoding must not
+    # run it again.
+    from ptareach import semantics
+
+    accepted = 0
+    for fx in fixture_corpus():
+        res = build_poca(to_zero_one_pta(fx.pta))
+        for n in (0, 1):
+            witness = poca_reach_bounded(res.poca, n, 0, 4 * max(n, res.poca.size()))
+            if witness is None:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(semantics, "zero_one_reach_bruteforce", None)
+                assert decode_witness(res, n, witness) is res.small_runs[n]
+            accepted += 1
+    assert accepted > 0
+
+
 # sha256 of repr((decoded 0/1 run, projected PTA run)) for every witness at
 # N <= 8 of GADGET_PTAS, the fixtures and the acceptance corpus's random
 # draws.  Decoding must keep it unless a change means to alter the runs.
@@ -477,7 +496,7 @@ def test_decode_output_pinned():
 
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "acc55f1bdbf2bbb845b8b3d23bf46d0979c09c09ba9193bda5537a5da05ad0b4"
+BUILD_OUTPUT_SHA256 = "5a96ed896c301d4b8bdfc3e373612b03d7de0e9e725a863a414ae7c15e8b2bd4"
 
 
 def test_build_output_pinned():
@@ -498,22 +517,37 @@ def test_build_output_pinned():
     assert set(LOCKS) | set(CASES) | conds | {"point", "ur", "exist_then"} <= seen
 
 
-def test_no_two_states_share_an_outgoing_rule_list():
-    # An unannotated state's only future is its outgoing rules, so two such
-    # states with the same (op, dst) list are interchangeable and one of
-    # them is redundant.  The emitter shares equal chain tails instead.
+def _redundant_states(res) -> int:
+    """States minus classes of the coarsest bisimulation that keeps each
+    annotated state, the initial state and the finals in a class of its own.
+
+    Partition refinement: split classes by the set of (op, class of the
+    successor) pairs of their states until no class splits.
+    """
+    poca = res.poca
+    out = {}
+    for rule in poca.rules:
+        out.setdefault(rule.src, set()).add((rule.op, rule.dst))
+    fixed = set(res.annotations) | {poca.initial} | poca.finals
+    cls = {s: s if s in fixed else None for s in poca.states}
+    count = len(set(cls.values()))
+    while True:
+        ids = {}
+        cls = {
+            s: ids.setdefault((cls[s], frozenset((op, cls[d]) for op, d in out.get(s, ()))),
+                              len(ids))
+            for s in poca.states
+        }
+        if len(ids) == count:
+            return len(poca.states) - count
+        count = len(ids)
+
+
+def test_poca_is_bisimulation_minimal():
+    # Unannotated states are interchangeable when they have the same future:
+    # two bisimilar ones mean one of them is redundant.  The emitter names
+    # each unannotated state, chain interior or loop hub, by its whole future.
     ptas = [fx.pta for fx in fixture_corpus()]
     rng = random.Random(20260809)
     ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
-    duplicates = 0
-    for pta in ptas:
-        res = build_poca(to_zero_one_pta(pta))
-        out = {}
-        for rule in res.poca.rules:
-            out.setdefault(rule.src, []).append((rule.op, rule.dst))
-        seen = set()
-        for state in sorted(res.poca.states - {res.poca.initial} - set(res.annotations)):
-            key = tuple(out.get(state, ()))
-            duplicates += key in seen
-            seen.add(key)
-    assert duplicates == 0
+    assert sum(_redundant_states(build_poca(to_zero_one_pta(pta))) for pta in ptas) == 0

@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ptareach
@@ -65,4 +66,28 @@ def test_no_unused_module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
+    assert found == []
+
+
+def _referenced_names(tree) -> list:
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_function_is_referenced():
+    # A private module-level function or method that no code outside its own
+    # body names is dead.  Dunder methods are called by the language.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    counts = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    found = []
+    for module, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for node in defs:
+            private = node.name.startswith("_") and not node.name.endswith("__")
+            own = Counter(_referenced_names(node))[node.name]
+            if private and counts[node.name] == own:
+                found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []
