@@ -92,9 +92,8 @@ def _cmd_reduce(args) -> int:
             poca = normalize_accepting_zero(poca)
         payload = serialize.dumps(poca)
         if args.annotations:
-            Path(args.annotations).write_text(
-                json.dumps(result.annotations, indent=2, default=str) + "\n"
-            )
+            sidecar = {"states": result.annotations, "rules": result.events}
+            Path(args.annotations).write_text(json.dumps(sidecar, indent=2, default=str) + "\n")
     else:
         raise ValueError(f"unknown stage {args.stage!r}")
     if args.out:
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=[r.name for r in Region], help="region for --stage region")
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--normalize-zero", action="store_true")
-    p.add_argument("--annotations", help="sidecar file for state annotations")
+    p.add_argument("--annotations", help="sidecar file for state and rule annotations")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reduce)
 

@@ -19,9 +19,10 @@ its one (op, next state), and a loop hub -- a lock's dwell loop or a walk of
 the counter to the pin -- by (step, period, exit ops, destination).  The
 emitter creates such a state with all its rules when its name is first asked
 for and never adds a rule to it later, so gadgets with the same future share
-it and no two unannotated states are bisimilar.  Annotated states (anchors
-and event headers) are never shared, and no cycle passes through one, since
-the decoder fires an event each time a witness visits its header.
+it and no two unannotated states are bisimilar.  Annotated states (init, acc
+and the anchors) are never shared.  Each event is recorded on the one rule
+that leaves its anchor and enters its gadget, so the decoder reads anchors
+off a witness's states and events off its rule labels.
 
 A gadget whose progression has period b >= 2 and whose bound is N also
 checks w = N (mod b) in place: a ("residue", b) marker expands into b
@@ -182,9 +183,10 @@ ACTION_TARGET_KAPPA = {
 class GadgetSpec:
     """Contract met by one emitted gadget.
 
-    The envelope bounds every counter value from the gadget's event-header
-    state (its key in ``BuildResult.gadgets``) to the next anchor on an
-    accepting run, as alpha * N + beta; tests replay witnesses against it.
+    The envelope bounds every counter value from the gadget's entry rule
+    (its key in ``BuildResult.gadgets``, as in ``BuildResult.events``) to the
+    next anchor on an accepting run, as alpha * N + beta; tests replay
+    witnesses against it.
     """
 
     name: str
@@ -205,7 +207,8 @@ class BuildResult:
     annotations: dict
     source: ZeroOnePTA
     max_gadget_const: int
-    gadgets: dict = field(default_factory=dict)  # event-header state -> GadgetSpec
+    events: dict = field(default_factory=dict)  # entry rule index -> event with its anchor's u
+    gadgets: dict = field(default_factory=dict)  # entry rule index -> GadgetSpec
     small_runs: dict = field(default_factory=dict)  # accepted k < SMALL_LIMIT -> 0/1 run
 
     def annotation(self, state: str) -> dict:
@@ -244,23 +247,24 @@ class _Emitter:
             self.annotations[name] = meta
         return name
 
-    def edge(self, src: str, op, dst: str) -> None:
+    def edge(self, src: str, op, dst: str) -> int:
         self.rules.append(PocaRule(src, op, dst))
+        return len(self.rules) - 1
 
-    def link(self, src: str, op, dst: str) -> None:
-        """One op from src to dst.  A loop marker enters its hub; a
-        ("residue", b) marker checks the counter against N modulo b (see the
-        module doc)."""
+    def link(self, src: str, op, dst: str) -> Optional[int]:
+        """One op from src to dst; returns the index of the rule it adds from
+        src.  A loop marker enters its hub; a ("residue", b) marker checks the
+        counter against N modulo b (see the module doc) by b rules."""
         if not isinstance(op, tuple):
-            self.edge(src, op, dst)
-        elif op[0] == "loop":
-            # A +0 hop, since src may be annotated and no cycle sits on one.
-            self.edge(src, AddConst(0), self.tail(op, dst))
-        else:
-            b = op[1]
-            for r in range(b):
-                ops = _residue_ops(b, r) + [_PLUS_N] + _residue_ops(b, 2 * r % b) + [_MINUS_N]
-                self.chain(src, ops, dst)
+            return self.edge(src, op, dst)
+        if op[0] == "loop":
+            # A +0 hop: the cycle sits on the shared hub, never on src.
+            return self.edge(src, AddConst(0), self.tail(op, dst))
+        b = op[1]
+        for r in range(b):
+            ops = _residue_ops(b, r) + [_PLUS_N] + _residue_ops(b, 2 * r % b) + [_MINUS_N]
+            self.chain(src, ops, dst)
+        return None
 
     def tail(self, op, dst: str) -> str:
         """The unannotated state whose whole future is op, then dst.
@@ -283,8 +287,8 @@ class _Emitter:
                 self.link(state, op, dst)
         return self.tails[op, dst]
 
-    def chain(self, src: str, ops, dst: str) -> None:
-        """Thread a list of counter operations from src to dst.
+    def chain(self, src: str, ops, dst: str) -> Optional[int]:
+        """Thread a list of counter operations from src to dst, as ``link``.
 
         The interior is built backwards from dst out of shared tail states,
         so chains that end in the same ops to the same state share them.
@@ -292,7 +296,7 @@ class _Emitter:
         ops = list(ops) or [AddConst(0)]
         for op in reversed(ops[1:]):
             dst = self.tail(op, dst)
-        self.link(src, ops[0], dst)
+        return self.link(src, ops[0], dst)
 
 
 class _RegionTables(dict):
@@ -540,7 +544,8 @@ class _Builder:
         self.enabled = {}
         self.clocks = tuple(sorted(b.clocks))
         self.acc = self.em.fresh({"role": "acc"})
-        self.gadget_specs = {}
+        self.events = {}  # entry rule index -> event
+        self.gadget_specs = {}  # entry rule index -> GadgetSpec
         self.max_const = 0
 
     def discover(self):
@@ -629,42 +634,30 @@ class _Builder:
         return out
 
     def _emit_event(self, src, key, ev, anchor):
-        """The event's header state under anchor src, and its gadget."""
+        """The event's gadget from anchor src; its first rule carries the
+        event (never a residue marker: each gadget opens with a move)."""
         kappa, slot, u = key
         case = CELL_CASE.get((kappa, CHAINS[kappa][slot]))
-        meta = {
-            "role": "event",
-            "kappa": kappa,
-            "slot": slot,
-            "u": u,
-            "event": {k: v for k, v in ev.items() if k != "next"},
-        }
-        head = self.em.fresh(meta)
-        self.em.edge(src, AddConst(0), head)
         gen = ev.get("gen")
-        slack = 6 + (gen[0] + gen[1] if gen else 0)
-        self.gadget_specs[head] = GadgetSpec(
-            name=f"{ev['type']}:{ev.get('style') or ev.get('cond') or case or 'point'}",
-            gen=gen,
-            case=case,
-            lo=(0, 0),
-            hi=(3, slack),
-        )
         target = self.acc if ev["type"] == "accept" else anchor(ev["next"])
         if ev.get("style") in LOCKS:
             # A lock turns a nondeterministic dwell into the new counter.
             a, b_period = gen
             self.max_const = max(self.max_const, a + 3, b_period)
-            self.em.chain(head, LOCKS[ev["style"]](a, b_period, CASES[case][2]), target)
-            return
-        ops = _zcond_ops(ev["cond"]) if ev.get("cond") else []
-        if gen:
-            check = _traverse_ops if ev["type"] == "cross" else _exist_ops
-            ops += check(case, gen)
-        if ev["type"] == "reset":
-            ops += _action_ops(kappa, ev["action"])
-        self._note_consts(ops)
-        self.em.chain(head, ops, target)
+            ops = LOCKS[ev["style"]](a, b_period, CASES[case][2])
+        else:
+            ops = _zcond_ops(ev["cond"]) if ev.get("cond") else []
+            if gen:
+                check = _traverse_ops if ev["type"] == "cross" else _exist_ops
+                ops += check(case, gen)
+            if ev["type"] == "reset":
+                ops += _action_ops(kappa, ev["action"])
+            self._note_consts(ops)
+        rule = self.em.chain(src, ops, target)
+        self.events[rule] = {**{k: v for k, v in ev.items() if k != "next"}, "u": u}
+        name = f"{ev['type']}:{ev.get('style') or ev.get('cond') or case or 'point'}"
+        slack = 6 + (gen[0] + gen[1] if gen else 0)
+        self.gadget_specs[rule] = GadgetSpec(name, gen, case, lo=(0, 0), hi=(3, slack))
 
     def _note_consts(self, ops):
         for op in ops:
@@ -701,20 +694,19 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
         run = semantics.zero_one_reach_bruteforce(b, k, max(k, 1) + 1)
         if run is not None:
             small_runs[k] = run
-            entry = em.fresh({"role": "small", "n": k})
-            em.chain(init, _plus(k) + [CmpParam("=", PARAM)], entry)
-            em.edge(entry, AddConst(0), builder.acc)
+            em.chain(init, _plus(k) + [CmpParam("=", PARAM)], builder.acc)
 
     # Large branch: verify N >= SMALL_LIMIT, then offset the counter by 2N.
     anchors = builder.discover()
     gate = _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N] * 2
     em.chain(init, gate, anchors[("Z0", 0, b.initial)])
 
-    states, rules = _prune(em.rules, init, builder.acc)
+    states, kept = _prune(em.rules, init, builder.acc)
+    index = {old: new for new, old in enumerate(kept)}
     poca = POCA(
         states=frozenset(states),
         params=frozenset({PARAM}),
-        rules=tuple(rules),
+        rules=tuple(em.rules[i] for i in kept),
         initial=init,
         finals=frozenset({builder.acc} if builder.acc in states else ()),
     )
@@ -723,13 +715,15 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
         annotations={s: m for s, m in em.annotations.items() if s in states},
         source=b,
         max_gadget_const=builder.max_const,
-        gadgets={s: g for s, g in builder.gadget_specs.items() if s in states},
+        events={index[i]: ev for i, ev in builder.events.items() if i in index},
+        gadgets={index[i]: g for i, g in builder.gadget_specs.items() if i in index},
         small_runs=small_runs,
     )
 
 
 def _prune(rules, init, acc):
-    """Drop states that cannot lie on any initial-to-accepting state path.
+    """Drop states that cannot lie on any initial-to-accepting state path;
+    returns the live states and the indices of the rules kept among them.
 
     Purely graph-level (counter ignored), so it preserves acceptance per
     parameter value and only removes dead branches.
@@ -743,7 +737,7 @@ def _prune(rules, init, acc):
         [acc], lambda u: bwd_adj.get(u, ())
     )
     live.add(init)
-    return live, [r for r in rules if r.src in live and r.dst in live]
+    return live, [i for i, r in enumerate(rules) if r.src in live and r.dst in live]
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +752,9 @@ class DecodeError(RuntimeError):
 def decode_witness(result: BuildResult, n: int, run) -> "object":
     """Reconstruct an accepting run of the source 0/1-PTA from a POCA witness.
 
-    A witness through a small-value branch carries no dwell data; its run is
-    the one the 0/1 oracle found while building.  On the main branch each
-    event names the rule it takes, and its dwell follows from the clock
+    Below SMALL_LIMIT the run is the one the 0/1 oracle found while building.
+    Above it each event is read off its entry rule in the witness's labels,
+    names the 0/1 rule it takes, and its dwell follows from the clock
     valuation reached so far: a full crossing of an open cell dwells until
     the largest clock inside (0, N) reaches N - 1; a lock reset dwells until
     the clock it keeps reaches |z| at the next anchor, where z is the new
@@ -768,7 +762,9 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
     progression, or zero without one.
     """
     b = result.source
-    if any(result.annotation(c.state).get("role") == "small" for c in run.configs):
+    if n < SMALL_LIMIT:
+        if n not in result.small_runs:
+            raise DecodeError(f"the 0/1 oracle rejected N = {n} while building")
         return result.small_runs[n]
 
     cx, cy = sorted(b.clocks)
@@ -803,31 +799,29 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
         for label in found[1]:
             extend(*label)
 
-    def fire(meta, steps):
+    def fire(ev, steps):
         """Dwell `steps` time units, then take the event's rule."""
-        ev = meta["event"]
-        dwell(meta["u"], ev["v"], steps)
+        dwell(ev["u"], ev["v"], steps)
         if ev["type"] == "cross":
             extend(len(b.rules0) + ev["rule1"], 1)
         elif ev["type"] == "reset":
             extend(ev["rule0"], 0)
 
     lock = None  # a lock reset's event, until the next anchor shows its new difference
-    for conf in run.configs:
-        meta = result.annotation(conf.state)
-        if lock is not None and meta.get("role") == "anchor":
-            kept = cy if cx in b.rules0[lock["event"]["rule0"]].resets else cx
+    for conf, label in zip(run.configs, run.labels):
+        if lock is not None and result.annotation(conf.state).get("role") == "anchor":
+            kept = cy if cx in b.rules0[lock["rule0"]].resets else cx
             fire(lock, abs(conf.counter - 2 * n) - configs[-1].value(kept))
             lock = None
-        if meta.get("role") != "event":
+        ev = result.events.get(label)
+        if ev is None:
             continue
-        ev = meta["event"]
         if ev.get("style") in LOCKS:
-            lock = meta
+            lock = ev
         elif ev["type"] == "cross" and "gen" in ev:
-            fire(meta, n - 1 - max(t for _, t in configs[-1].valuation if 0 < t < n))
+            fire(ev, n - 1 - max(t for _, t in configs[-1].valuation if 0 < t < n))
         else:
-            fire(meta, ev["gen"][0] if "gen" in ev else 0)
+            fire(ev, ev["gen"][0] if "gen" in ev else 0)
     if lock is not None:
         raise DecodeError("lock reset without a following anchor")
 

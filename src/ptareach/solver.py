@@ -65,14 +65,18 @@ def _completeness(n_max: int, poca_size: int, m_const: int) -> tuple:
     return ("COMPLETE" if n_max >= threshold else "BOUNDED"), threshold
 
 
+def _check_input(pta: PTA, n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if pta.classification() != (2, 1):
+        raise ValueError("expected a (2,1)-PTA")
+
+
 def decide(pta: PTA, n_max: int, mode: str = "via-poca", budget: int = 200_000) -> Verdict:
     """Search parameter values 0..n_max in order; smallest hit wins."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if pta.classification() != (2, 1):
-        raise ValueError("decide expects a (2,1)-PTA")
+    _check_input(pta, n_max)
 
     # The completeness threshold comes from the pipeline's automaton in
     # either mode.
@@ -113,6 +117,7 @@ def _build(pta: PTA, budget: int) -> BuildResult:
 
 def cross_check(pta: PTA, n_max: int, budget: int = 200_000) -> CrossCheckReport:
     """Compare the two decision routes value by value."""
+    _check_input(pta, n_max)
     result = _build(pta, budget)
     poca = result.poca
     size = poca.size()

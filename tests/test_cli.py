@@ -55,6 +55,25 @@ def test_reduce_poca_byte_stable(fixture_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_reduce_poca_annotations_sidecar(fixture_dir, tmp_path):
+    # The sidecar keeps the state annotations and, per entry rule, the event
+    # its gadget realizes; every entry rule leaves an anchor.
+    poca, notes = tmp_path / "c.json", tmp_path / "notes.json"
+    assert main(["reduce", "--stage", "poca", "--pta", str(fixture_dir / "even.json"),
+                 "--out", str(poca), "--annotations", str(notes)]) == 0
+    sidecar = json.loads(notes.read_text())
+    assert set(sidecar) == {"states", "rules"}
+    roles = {meta["role"] for meta in sidecar["states"].values()}
+    assert roles == {"init", "acc", "anchor"}
+    rules = json.loads(poca.read_text())["rules"]
+    assert sidecar["rules"]
+    for index, event in sidecar["rules"].items():
+        src = rules[int(index)]["from"]
+        assert sidecar["states"][src]["role"] == "anchor"
+        assert event["type"] in ("cross", "reset", "accept")
+        assert sidecar["states"][src]["bstate"] == event["u"]
+
+
 def test_reduce_rejects_wrong_shape(tmp_path, capsys):
     bad = {
         "kind": "pta",
@@ -291,32 +310,32 @@ def test_solve_both_derives_constants_once(fixture_dir, capsys, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def r8_path(tmp_path_factory):
-    """Acceptance entry r8: 1,384 POCA states, a threshold of about 10^4 digits."""
+def r3_path(tmp_path_factory):
+    """Acceptance entry r3: 695 POCA states, a threshold of 5,122 digits."""
     import random
 
     from ptareach.fixtures import random_two_one_pta
 
     rng = random.Random(20260809)
-    pta = [random_two_one_pta(rng, max_states=3) for _ in range(9)][8]
-    path = tmp_path_factory.mktemp("r8") / "r8.json"
+    pta = [random_two_one_pta(rng, max_states=3) for _ in range(4)][3]
+    path = tmp_path_factory.mktemp("r3") / "r3.json"
     path.write_text(serialize.dumps(pta) + "\n")
     return path
 
 
 @pytest.mark.parametrize("mode", ["both", "direct"])
-def test_solve_prints_thresholds_beyond_int_str_limit(r8_path, capsys, mode):
-    code = main(["solve", "--pta", str(r8_path), "--max-n", "8", "--mode", mode, "--json"])
+def test_solve_prints_thresholds_beyond_int_str_limit(r3_path, capsys, mode):
+    code = main(["solve", "--pta", str(r3_path), "--max-n", "8", "--mode", mode, "--json"])
     assert code in (0, 1)
     threshold = json.loads(capsys.readouterr().out)["threshold"]
     assert threshold.isdigit() and len(threshold) > 4300
 
 
-def test_constants_prints_values_beyond_int_str_limit(r8_path, tmp_path, capsys):
+def test_constants_prints_values_beyond_int_str_limit(r3_path, tmp_path, capsys):
     import sys
 
     poca = tmp_path / "poca.json"
-    assert main(["reduce", "--stage", "poca", "--pta", str(r8_path), "--out", str(poca)]) == 0
+    assert main(["reduce", "--stage", "poca", "--pta", str(r3_path), "--out", str(poca)]) == 0
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
     assert main(["constants", "--poca", str(poca), "--json"]) == 0

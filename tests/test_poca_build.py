@@ -10,7 +10,6 @@ from ptareach import serialize
 from ptareach.automata import (
     POCA,
     PTA,
-    AddConst,
     CmpConst,
     Guard,
     ModTest,
@@ -23,6 +22,7 @@ from ptareach.poca_build import (
     CROSSINGS,
     LOCKS,
     BudgetExceeded,
+    DecodeError,
     _Emitter,
     _minus,
     _plus,
@@ -31,6 +31,8 @@ from ptareach.poca_build import (
     normalize_accepting_zero,
 )
 from ptareach.semantics import (
+    PocaConfiguration,
+    Run,
     poca_reach_bounded,
     pta_reach_bruteforce,
     validate_run,
@@ -340,13 +342,10 @@ def test_gadget_envelopes_hold_on_witnesses():
             if witness is None:
                 continue
             current = None
-            for conf in witness.configs:
-                meta = res.annotation(conf.state)
-                role = meta.get("role")
-                if role == "event":
-                    current = res.gadgets.get(conf.state)
-                elif role in ("anchor", "acc"):
+            for conf, label in zip(witness.configs, witness.labels + (None,)):
+                if res.annotation(conf.state).get("role") in ("anchor", "acc"):
                     current = None
+                current = res.gadgets.get(label, current)
                 if current is not None:
                     assert current.check_value(conf.counter, n), (
                         current.name, conf, n,
@@ -427,18 +426,26 @@ def test_small_branch_handles_degenerate_parameters():
 
 
 def test_small_values_leave_one_entry_state_each():
-    # N = 0 and N = 1 are decided while building: the POCA has a "small"
-    # state for k exactly when the automaton accepts at k, its only rule
-    # leads to the accepting state, and no product follows it.
+    # N = 0 and N = 1 are decided while building: the build keeps a 0/1 run
+    # for k exactly when the automaton accepts at k, and the branch testing
+    # N = k goes straight to the accepting state, so no state of it, and
+    # no event header or product, is annotated.
     for fx in fixture_corpus():
         res = build_poca(to_zero_one_pta(fx.pta))
-        roles = [m["role"] for m in res.annotations.values()]
-        small = {m["n"]: s for s, m in res.annotations.items() if m["role"] == "small"}
-        assert set(small) == {k for k in (0, 1) if fx.accepts(k)}, fx.name
-        for state in small.values():
-            out = [(r.op, r.dst) for r in res.poca.rules if r.src == state]
-            assert out == [(AddConst(0), next(iter(res.poca.finals)))], fx.name
-        assert "small-product" not in roles, fx.name
+        assert set(res.small_runs) == {k for k in (0, 1) if fx.accepts(k)}, fx.name
+        roles = {m["role"] for m in res.annotations.values()}
+        assert roles <= {"init", "acc", "anchor"}, fx.name
+
+
+def test_small_witness_without_a_kept_run_is_a_decode_error():
+    # "never" accepts at no N, so the build keeps no run for N = 0; a
+    # hand-made witness that stays in the initial state must not decode.
+    fx = next(f for f in fixture_corpus() if f.name == "never")
+    res = build_poca(to_zero_one_pta(fx.pta))
+    assert res.small_runs == {}
+    witness = Run("poca", (PocaConfiguration(res.poca.initial, 0),), ())
+    with pytest.raises(DecodeError):
+        decode_witness(res, 0, witness)
 
 
 def test_small_witness_decodes_to_the_run_kept_at_build(monkeypatch):
@@ -484,8 +491,7 @@ def test_decode_output_pinned():
             a_run = zero_one_run_to_pta_run(pta, n, b_run)
             assert validate_run(a_run, pta, n) == (True, None)
             digest.update(repr((b_run, a_run)).encode())
-            passed |= {res.gadgets[c.state].name for c in witness.configs
-                       if c.state in res.gadgets}
+            passed |= {res.gadgets[i].name for i in witness.labels if i in res.gadgets}
         assert gadget is None or gadget in passed, gadget
         decoded |= {name.partition(":")[2] for name in passed}
     assert digest.hexdigest() == DECODE_OUTPUT_SHA256
@@ -496,7 +502,7 @@ def test_decode_output_pinned():
 
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "5a96ed896c301d4b8bdfc3e373612b03d7de0e9e725a863a414ae7c15e8b2bd4"
+BUILD_OUTPUT_SHA256 = "cecffd46809584103951fa6f150fb8db8538048c9117fb1d60d227d579a90ed8"
 
 
 def test_build_output_pinned():
@@ -509,6 +515,7 @@ def test_build_output_pinned():
         res = build_poca(to_zero_one_pta(pta))
         digest.update(serialize.dumps(res.poca).encode())
         digest.update(json.dumps(res.annotations).encode())
+        digest.update(json.dumps(res.events).encode())
         digest.update(repr(sorted(res.gadgets.items())).encode())
         seen |= {g.name.partition(":")[2] for g in res.gadgets.values()}
     assert digest.hexdigest() == BUILD_OUTPUT_SHA256

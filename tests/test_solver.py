@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ptareach.automata import CmpConst, PocaRule
+from ptareach.automata import PTA, CmpConst, Guard, PocaRule, PtaRule
 from ptareach.fixtures import fixture_by_name, fixture_corpus, random_two_one_pta
 from ptareach.semantics import validate_run
 from ptareach.solver import cross_check, decide
@@ -45,6 +45,22 @@ class TestDecide:
             decide(fx.pta, -1)
         with pytest.raises(ValueError):
             decide(fx.pta, 3, mode="psychic")
+
+    @pytest.mark.parametrize("check", [decide, cross_check])
+    def test_both_routes_reject_the_same_inputs(self, check):
+        # Unchecked, a negative n_max makes cross_check sweep no value and
+        # report that the modes agree.
+        even = fixture_by_name("even").pta
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            check(even, -1)
+        one_clock = PTA(
+            frozenset({"q"}), frozenset({"x", "y"}), frozenset({"p"}),
+            (PtaRule("q", Guard("x", ">=", "p"), frozenset(), "q"),),
+            "q", frozenset({"q"}),
+        )
+        assert one_clock.classification() == (1, 1)
+        with pytest.raises(ValueError, match=r"expected a \(2,1\)-PTA"):
+            check(one_clock, 3)
 
     def test_threshold_reported(self):
         fx = fixture_by_name("even")
