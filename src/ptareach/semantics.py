@@ -6,6 +6,17 @@ those of the 0/1 product, the POCA construction, the arithmetic-progression
 tables and the solver's audit, run on one breadth-first kernel
 (``shortest_path``, ``reachable``), so returned witnesses are shortest, which
 keeps golden outputs stable.
+
+The counter searches (``poca_reach_bounded`` and the solver's audit) run
+the kernel on integer nodes: state(z) in the window [lo, hi] is the key
+(z - lo) * |Q| + id(state), the states numbered by ``POCA.step_table``.
+When a search first expands a state, that state's rules are specialised to
+the search's N and window (``_specialise``), each to a key shift and a key
+interval, with a modulus for a modulo test, so a step costs one interval
+test and at most one ``%``.  Keys are one-to-one with the window's
+configurations and rules keep their order, so the search visits
+configurations in the order a search over (state, counter) pairs through
+``apply_op`` would, and returns the same witnesses.
 """
 
 from __future__ import annotations
@@ -329,11 +340,20 @@ def _oracle(a, n: int, clock_cap: int, successors) -> Optional[Run]:
     return None if found is None else _replay(a, n, start, found[1])
 
 
+# For ``x cmp rhs``: the least and the greatest x - rhs admitted, None where unbounded.
+_CMP_OFFSETS = {"<": (None, -1), "<=": (None, 0), "=": (0, 0), ">=": (0, None), ">": (1, None)}
+
+
 def _guard_window(cmp: str, rhs: int, value: int, cap: int) -> tuple:
-    """The delays d in 0..cap with ``value + d cmp rhs``, as (lo, hi); empty if lo > hi."""
+    """The d in 0..cap with ``value + d cmp rhs``, as (lo, hi); empty if lo > hi.
+
+    The delays a clock guard admits, and the window offsets a counter
+    comparison admits.
+    """
+    least, greatest = _CMP_OFFSETS[cmp]
     d = rhs - value
-    lo, hi = {"<": (0, d - 1), "<=": (0, d), "=": (d, d), ">=": (d, cap), ">": (d + 1, cap)}[cmp]
-    return max(lo, 0), min(hi, cap)
+    lo = 0 if least is None else max(d + least, 0)
+    return lo, cap if greatest is None else min(d + greatest, cap)
 
 
 def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
@@ -429,18 +449,75 @@ def zero_one_reach_configs(
     return reachable([(start.state, start.valuation)], successors)
 
 
+def _specialise(row: tuple, src: int, q: int, n: int, lo: int, hi: int) -> list:
+    """A step-table row at parameter n and counter window [lo, hi], on keys.
+
+    A node state(z) is the key (z - lo) * q + id(state), q = |Q|.  Each
+    entry becomes (rule index, key shift, key_lo, key_hi, modulus): from
+    key, the rule reaches key + shift exactly when key_lo <= key <= key_hi
+    and, for a nonzero modulus, (key - key_lo) % modulus == 0.  The window
+    check on the counter after the step is folded into key_lo and key_hi;
+    entries that no counter passes are dropped.
+    """
+    width = hi - lo
+    out = []
+    for idx, dst, op in row:
+        kind = type(op)
+        delta = modulus = 0
+        if kind is AddConst or kind is AddParam:
+            delta = op.value if kind is AddConst else op.sign * n
+            u_lo, u_hi = -delta, width - delta
+        elif kind is CmpConst or kind is CmpParam:
+            u_lo, u_hi = _guard_window(op.cmp, op.value if kind is CmpConst else n, lo, width)
+        elif kind is ModTest:
+            # The least u = z - lo with z % m == 0, then every m-th one.
+            u_lo, u_hi = -lo % op.value, width
+            if op.value > 1:
+                modulus = op.value * q
+        else:
+            raise ValueError(f"unknown counter operation: {op!r}")
+        if u_lo <= u_hi:
+            out.append((idx, delta * q + dst - src, u_lo * q + src, u_hi * q + src, modulus))
+    return out
+
+
+def _counter_successors(poca: POCA, n: int, lo: int, hi: int):
+    """successors(key) over the POCA's step table at n in the window [lo, hi].
+
+    Yields (rule index, next key) in rule order; each visited state's row is
+    specialised once per call, when the search first expands that state.
+    """
+    table = poca.step_table
+    q = len(table.states)
+    rows = table.rows
+    specialised = {}
+
+    def successors(key):
+        src = key % q
+        row = specialised.get(src)
+        if row is None:
+            row = rows[src]
+            if row is None:
+                row = table.row(src)
+            row = specialised[src] = _specialise(row, src, q, n, lo, hi)
+        for idx, shift, key_lo, key_hi, modulus in row:
+            if key_lo <= key <= key_hi and (not modulus or not (key - key_lo) % modulus):
+                yield idx, key + shift
+
+    return successors
+
+
 def poca_successors(poca: POCA, n: int, lo: int, hi: int, state: str, z: int):
     """Enabled POCA steps from state(z) whose counter stays inside [lo, hi].
 
-    Yields (rule index, target state, counter after the step) in rule order,
-    read from the automaton's source index ``POCA.out_rules``.
+    Yields (rule index, target state, counter after the step) in rule order:
+    the search's specialised row of ``POCA.step_table``, decoded.
     """
-    rules = poca.rules
-    for idx in poca.out_rules.get(state, ()):
-        rule = rules[idx]
-        z2 = apply_op(rule.op, n, z)
-        if z2 is not None and lo <= z2 <= hi:
-            yield idx, rule.dst, z2
+    table = poca.step_table
+    q = len(table.states)
+    for idx, nxt in _counter_successors(poca, n, lo, hi)((z - lo) * q + table.ids[state]):
+        u, dst = divmod(nxt, q)
+        yield idx, table.states[dst], u + lo
 
 
 def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
@@ -448,15 +525,21 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
 
     Accepting means: starts at initial(0), ends in a final state.  No
     counter-zero normalization is imposed here.
+
+    The search runs on the kernel over integer keys (z - lo) * |Q| + id,
+    the states numbered by ``POCA.step_table``, with each visited state's
+    row specialised to n, lo and hi (``_specialise``).  Keys are one-to-one
+    with the configurations of the window and a row keeps rule order, so
+    the breadth-first order, and with it every witness, is that of a search
+    over (state, counter) pairs that tries the rules in order.  The labels
+    found are replayed into the returned run.
     """
     if not lo <= 0 <= hi:
         raise ValueError("window must satisfy lo <= 0 <= hi")
-
-    def successors(node):
-        for idx, dst, z2 in poca_successors(poca, n, lo, hi, *node):
-            yield idx, (dst, z2)
-
-    found = shortest_path((poca.initial, 0), successors, lambda node: node[0] in poca.finals)
+    q = len(poca.step_table.states)
+    finals = poca.step_table.finals
+    successors = _counter_successors(poca, n, lo, hi)
+    found = shortest_path(-lo * q, successors, lambda key: key % q in finals)
     return None if found is None else _replay(poca, n, initial_configuration(poca), found[1])
 
 

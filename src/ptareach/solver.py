@@ -18,10 +18,10 @@ from .automata import PTA, derive_constants
 from .poca_build import BuildResult, build_poca, decode_witness
 from .semantics import (
     Run,
+    _counter_successors,
     _label_step,
     initial_configuration,
     poca_reach_bounded,
-    poca_successors,
     pta_reach_bruteforce,
     shortest_path,
     validate_run,
@@ -181,16 +181,26 @@ def find_bound_violation(poca, n: int, bound: int, slack: int) -> Optional[tuple
 
     Explores configurations within [-slack, bound + slack] with a flag
     recording whether the path so far left [0, bound]; returns a violating
-    accepting configuration if one exists in that window.
+    accepting configuration if one exists in that window.  Nodes are the
+    counter search's keys (z + slack) * |Q| + id, plus ``flag`` once flagged.
     """
     lo, hi = -slack, bound + slack
+    table = poca.step_table
+    q = len(table.states)
+    steps = _counter_successors(poca, n, lo, hi)
+    inside_lo, inside_hi = slack * q, (slack + bound + 1) * q  # the keys with 0 <= z <= bound
+    flag = (hi - lo + 1) * q
 
-    def successors(node):
-        state, z, flagged = node
-        for _, dst, z2 in poca_successors(poca, n, lo, hi, state, z):
-            yield None, (dst, z2, flagged or not 0 <= z2 <= bound)
+    def successors(key):
+        if key >= flag:
+            for _, nxt in steps(key - flag):
+                yield None, nxt + flag
+        else:
+            for _, nxt in steps(key):
+                yield None, nxt if inside_lo <= nxt < inside_hi else nxt + flag
 
-    found = shortest_path(
-        (poca.initial, 0, False), successors, lambda node: node[2] and node[0] in poca.finals
-    )
-    return None if found is None else found[0][:2]
+    found = shortest_path(-lo * q, successors, lambda key: key >= flag and key % q in table.finals)
+    if found is None:
+        return None
+    u, state = divmod(found[0] - flag, q)
+    return table.states[state], u + lo

@@ -398,16 +398,17 @@ class _CountingRules(tuple):
         return super().__iter__()
 
 
-def _old_by_src(poca):
+def _rules_by_src(poca):
     by_src = {}
     for idx, rule in enumerate(poca.rules):
         by_src.setdefault(rule.src, []).append((idx, rule))
     return by_src
 
 
-def _old_reach_labels(poca, n, lo, hi):
-    """The per-call index rebuild ``poca_reach_bounded`` used to make."""
-    by_src = _old_by_src(poca)
+def _reference_reach_labels(poca, n, lo, hi):
+    """The labels of a shortest accepting run: the kernel over (state, counter)
+    pairs, each rule of the state tried in rule order through ``apply_op``."""
+    by_src = _rules_by_src(poca)
 
     def successors(node):
         state, z = node
@@ -420,9 +421,9 @@ def _old_reach_labels(poca, n, lo, hi):
     return None if found is None else found[1]
 
 
-def _old_bound_violation(poca, n, bound, slack):
-    """The per-call index rebuild ``find_bound_violation`` used to make."""
-    by_src = _old_by_src(poca)
+def _reference_bound_violation(poca, n, bound, slack):
+    """``find_bound_violation`` over (state, counter, flag) nodes and ``apply_op``."""
+    by_src = _rules_by_src(poca)
     lo, hi = -slack, bound + slack
 
     def successors(node):
@@ -436,6 +437,77 @@ def _old_bound_violation(poca, n, bound, slack):
         (poca.initial, 0, False), successors, lambda node: node[2] and node[0] in poca.finals
     )
     return None if found is None else found[0][:2]
+
+
+def _reference_run(poca, n, lo, hi):
+    """(labels, [(state, counter), ...]) of the reference search, stepped by ``apply_op``."""
+    labels = _reference_reach_labels(poca, n, lo, hi)
+    if labels is None:
+        return None
+    configs = [(poca.initial, 0)]
+    for idx in labels:
+        rule = poca.rules[idx]
+        assert rule.src == configs[-1][0]
+        configs.append((rule.dst, apply_op(rule.op, n, configs[-1][1])))
+    return labels, configs
+
+
+class TestCounterSearchAgainstReference:
+    # Negative lower ends, as ``ptareach simulate`` searches [-hi, hi], put
+    # the modulo tests on negative counters.
+    WINDOWS = ((0, 6), (-6, 6), (-5, 2), (-3, 0), (0, 0))
+
+    def test_runs_equal_the_reference_search(self):
+        rng = random.Random(16)
+        hits = 0
+        for _ in range(300):
+            c = _random_poca(rng)
+            for lo, hi in self.WINDOWS:
+                for n in range(5):
+                    run = poca_reach_bounded(c, n, lo, hi)
+                    got = None if run is None else (
+                        list(run.labels), [(conf.state, conf.counter) for conf in run.configs]
+                    )
+                    assert got == _reference_run(c, n, lo, hi), (c, n, lo, hi)
+                    hits += run is not None and len(run) > 0
+        assert hits > 500
+
+    def test_successors_equal_apply_op_inside_and_outside_the_window(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            c = _random_poca(rng)
+            for lo, hi in self.WINDOWS:
+                for n in range(4):
+                    for state in sorted(c.states):
+                        for z in range(lo - 3, hi + 4):
+                            expected = [
+                                (i, rule.dst, z2)
+                                for i, rule in enumerate(c.rules) if rule.src == state
+                                for z2 in [apply_op(rule.op, n, z)]
+                                if z2 is not None and lo <= z2 <= hi
+                            ]
+                            assert list(poca_successors(c, n, lo, hi, state, z)) == expected
+
+    def test_audit_equals_the_reference_audit(self):
+        rng = random.Random(106)
+        found = 0
+        for _ in range(200):
+            c = _random_poca(rng)
+            for n in range(4):
+                for bound, slack in ((0, 2), (3, 1), (5, 3)):
+                    violation = find_bound_violation(c, n, bound, slack)
+                    assert violation == _reference_bound_violation(c, n, bound, slack)
+                    found += violation is not None
+        assert found
+
+    def test_initial_final_state_and_window_without_zero(self):
+        rules = (PocaRule("q", ModTest(2), "q"), PocaRule("q", AddConst(-1), "f"))
+        c = POCA(frozenset({"q", "f"}), frozenset(), rules, "q", frozenset({"q", "f"}))
+        run = poca_reach_bounded(c, 0, -4, 4)
+        assert run is not None and run.labels == () and run.configs == (PocaConfiguration("q", 0),)
+        for lo, hi in ((1, 4), (-4, -1)):
+            with pytest.raises(ValueError, match="lo <= 0 <= hi"):
+                poca_reach_bounded(c, 0, lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -468,8 +540,17 @@ class TestSourceIndex:
         rng = random.Random(17)
         for _ in range(25):
             c = _random_poca(rng)
-            old = {s: tuple(i for i, _ in pairs) for s, pairs in _old_by_src(c).items()}
-            assert c.out_rules == old
+            table = c.step_table
+            # The initial state is 0, then the states rules leave in the order
+            # the rules first leave them, then the others sorted.
+            sources = list(dict.fromkeys([c.initial] + [rule.src for rule in c.rules]))
+            assert table.states == (*sources, *sorted(c.states - set(sources)))
+            assert table.ids == {s: i for i, s in enumerate(table.states)}
+            assert table.finals == {table.ids[s] for s in c.finals}
+            by_src = _rules_by_src(c)
+            for i, s in enumerate(table.states):
+                expected = [(j, table.ids[rule.dst], rule.op) for j, rule in by_src.get(s, ())]
+                assert list(table.row(i)) == expected and table.rows[i] is table.row(i)
 
     def test_built_once_over_a_sweep(self):
         built = build_poca(to_zero_one_pta(fixture_by_name("even").pta)).poca
@@ -503,13 +584,42 @@ class TestSourceIndex:
             for n in range(9):
                 hi = 4 * max(n, size)
                 run = poca_reach_bounded(poca, n, 0, hi)
-                assert (None if run is None else list(run.labels)) == _old_reach_labels(
+                assert (None if run is None else list(run.labels)) == _reference_reach_labels(
                     poca, n, 0, hi
                 )
                 found = find_bound_violation(poca, n, *audit(n))
-                assert found == _old_bound_violation(poca, n, *audit(n))
+                assert found == _reference_bound_violation(poca, n, *audit(n))
                 violations += found is not None
         assert violations
+
+
+# sha256 of every ``poca_reach_bounded`` result, as (labels, [(state,
+# counter), ...]) or None, on the benchmark's two corpora, in the window
+# [0, 4 * max(N, |C|)] that decide, cross_check and the per-N queries search:
+# the acceptance builds at N = 0..63 and the seed-0 draws at N = 0..31.
+SEARCH_OUTPUT_SHA256 = "f0fa8d3d6ded6612859b522f69cc4fc57804a8f8ef623d2547991669ee02da86"
+
+
+def _digest_searches(digest, poca, n_values) -> int:
+    size = poca.size()
+    hits = 0
+    for n in range(n_values):
+        run = poca_reach_bounded(poca, n, 0, 4 * max(n, size))
+        out = None if run is None else [run.labels, [(c.state, c.counter) for c in run.configs]]
+        digest.update(json.dumps(out).encode())
+        hits += run is not None
+    return hits
+
+
+def test_search_output_pinned(acceptance_builds):
+    digest = hashlib.sha256()
+    hits = sum(_digest_searches(digest, res.poca, 64) for _, res in acceptance_builds)
+    rng = random.Random(0)
+    for _ in range(110):
+        poca = build_poca(to_zero_one_pta(random_two_one_pta(rng, max_states=3))).poca
+        hits += _digest_searches(digest, poca, 32)
+    assert hits == 9530
+    assert digest.hexdigest() == SEARCH_OUTPUT_SHA256
 
 
 # sha256 of the oracle runs on the fixtures and the first 30 acceptance draws
