@@ -199,6 +199,29 @@ def fixture_corpus():
     ]
 
 
+def crt_pta(pairs) -> PTA:
+    """A PTA accepting exactly when N = r (mod a) for every (a, r) in pairs.
+
+    Non-parametric clock w_i counts modulo a_i on a reset loop at q.  At
+    y = p the run leaves q and tests each w_i = r_i in turn, every test
+    followed by y = p to pin zero delay, so it reads N mod a_i.  Not in
+    fixture_corpus(): its least accepted N grows with lcm(a_i).
+    """
+    k = len(pairs)
+    clocks = ["x", "y"] + [f"w{i}" for i in range(k)]
+    rules = [
+        PtaRule("q", Guard(f"w{i}", "=", a), frozenset({f"w{i}"}), "q")
+        for i, (a, _) in enumerate(pairs)
+    ]
+    rules.append(PtaRule("q", Guard("y", "=", "p"), frozenset(), "g0"))
+    for i, (_, r) in enumerate(pairs):
+        rules.append(PtaRule(f"g{i}", Guard(f"w{i}", "=", r), frozenset(), f"h{i}"))
+        rules.append(PtaRule(f"h{i}", Guard("y", "=", "p"), frozenset(), f"g{i + 1}"))
+    rules.append(PtaRule(f"g{k}", Guard("x", "<=", "p"), frozenset(), f"g{k}"))
+    states = ["q"] + [f"g{i}" for i in range(k + 1)] + [f"h{i}" for i in range(k)]
+    return _pta(states, clocks, rules, "q", {f"g{k}"})
+
+
 def fixture_by_name(name: str) -> Fixture:
     for fx in fixture_corpus():
         if fx.name == name:

@@ -7,6 +7,13 @@ diagonal, so the visited regions form a fixed chain determined by the
 difference's class: zero, strictly between 0 and N, exactly N, or beyond N
 (clamped to the sentinel N+1), with mirrored classes when x was reset last.
 
+An anchor is a (class, chain slot, 0/1 state) triple.  The builder first
+walks the anchor graph without allocating a state, keeps the anchors on a
+path from the start anchor to an accept event, and only then emits the kept
+anchors' gadgets.  The counter ignored, every gadget state lies on a path
+between its two anchors, so no emitted state is dead and the state budget
+counts only states the POCA keeps.
+
 Per chain slot the builder emits gadgets that verify region-internal
 reachability through the arithmetic-progression tables of the region's
 one-counter projection: full traversals check the forced dwell time against
@@ -22,7 +29,9 @@ for and never adds a rule to it later, so gadgets with the same future share
 it and no two unannotated states are bisimilar.  Annotated states (init, acc
 and the anchors) are never shared.  Each event is recorded on the one rule
 that leaves its anchor and enters its gadget, so the decoder reads anchors
-off a witness's states and events off its rule labels.
+off a witness's states and events off its rule labels.  No rule is emitted
+twice: two events whose gadgets have the same ops and target share one
+entry rule, which records the first.
 
 A gadget whose progression has period b >= 2 and whose bound is N also
 checks w = N (mod b) in place: a ("residue", b) marker expands into b
@@ -73,7 +82,8 @@ SMALL_LIMIT = 2  # parameter values below this are decided by the 0/1 oracle
 
 
 class BudgetExceeded(RuntimeError):
-    """The construction grew past the caller-supplied state budget."""
+    """The construction allocated more states than its budget.  The anchor
+    walk allocates none, so the budget counts only states the POCA keeps."""
 
 
 # Counter-difference classes and their region chains.
@@ -233,7 +243,7 @@ class _Emitter:
 
     def __init__(self, budget: int):
         self.budget = budget
-        self.rules = []
+        self.rules = {}  # rule -> its index: one rule per (src, op, dst)
         self.annotations = {}
         self.counter = itertools.count()
         self.tails = {}  # (op, dst) -> the unannotated state whose future is op, then dst
@@ -248,8 +258,7 @@ class _Emitter:
         return name
 
     def edge(self, src: str, op, dst: str) -> int:
-        self.rules.append(PocaRule(src, op, dst))
-        return len(self.rules) - 1
+        return self.rules.setdefault(PocaRule(src, op, dst), len(self.rules))
 
     def link(self, src: str, op, dst: str) -> Optional[int]:
         """One op from src to dst; returns the index of the rule it adds from
@@ -549,33 +558,38 @@ class _Builder:
         self.max_const = 0
 
     def discover(self):
-        """Walk the anchor graph once, emitting each anchor's gadgets as the
-        walk reaches it; returns the anchor states by key."""
+        """Walk the anchor graph, keep the anchors on a path from the start
+        to an accept event, then emit their gadgets in walk order (see the
+        module doc); returns the start anchor's state, None if it is dead."""
+        start = ("Z0", 0, self.b.initial)
+        walked, preds = {}, {}  # anchor key -> its events; -> keys with an event into it
+
+        def successors(key):
+            walked[key] = self._anchor_events(*key)
+            for ev in walked[key]:
+                if "next" in ev:
+                    preds.setdefault(ev["next"], []).append(key)
+                    yield ev["next"]
+
+        reachable([start], successors)
+        accepting = [key for key, evs in walked.items() if any("next" not in ev for ev in evs)]
+        live = reachable(accepting, lambda key: preds.get(key, ()))
         anchors = {}
 
         def anchor(key):
             if key not in anchors:
                 kappa, slot, u = key
+                region = CHAINS[kappa][slot].name
                 anchors[key] = self.em.fresh(
-                    {
-                        "role": "anchor",
-                        "kappa": kappa,
-                        "slot": slot,
-                        "region": CHAINS[kappa][slot].name,
-                        "bstate": u,
-                    }
+                    {"role": "anchor", "kappa": kappa, "slot": slot, "region": region, "bstate": u}
                 )
             return anchors[key]
 
-        def successors(key):
-            src = anchor(key)
-            for ev in self._anchor_events(*key):
-                self._emit_event(src, key, ev, anchor)
-                if "next" in ev:
-                    yield ev["next"]
-
-        reachable([("Z0", 0, self.b.initial)], successors)
-        return anchors
+        for key in (key for key in walked if key in live):
+            for ev in walked[key]:
+                if "next" not in ev or ev["next"] in live:  # accepts have no next
+                    self._emit_event(anchor(key), key, ev, anchor)
+        return anchors.get(start)
 
     def _rules(self, region, bit):
         """The resetting rules0 (bit 0) or the rules1 (bit 1) whose guards
@@ -654,6 +668,8 @@ class _Builder:
                 ops += _action_ops(kappa, ev["action"])
             self._note_consts(ops)
         rule = self.em.chain(src, ops, target)
+        if rule in self.events:  # an earlier event's gadget has the same ops and target
+            return
         self.events[rule] = {**{k: v for k, v in ev.items() if k != "next"}, "u": u}
         name = f"{ev['type']}:{ev.get('style') or ev.get('cond') or case or 'point'}"
         slack = 6 + (gen[0] + gen[1] if gen else 0)
@@ -680,6 +696,8 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
 
     The output accepts at parameter value N exactly when the input does,
     and every accepting run keeps its counter within [0, 4 * max(N, |C|)].
+    Each state lies on an initial-to-accepting path, except that a POCA with
+    no final state is its initial state alone; ``budget`` caps the states.
     """
     builder = _Builder(b, budget)
     em = builder.em
@@ -697,47 +715,29 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
             em.chain(init, _plus(k) + [CmpParam("=", PARAM)], builder.acc)
 
     # Large branch: verify N >= SMALL_LIMIT, then offset the counter by 2N.
-    anchors = builder.discover()
-    gate = _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N] * 2
-    em.chain(init, gate, anchors[("Z0", 0, b.initial)])
+    start = builder.discover()
+    if start is not None:
+        gate = _restore(_plus(SMALL_LIMIT), [CmpParam("<=", PARAM)]) + [_PLUS_N] * 2
+        em.chain(init, gate, start)
 
-    states, kept = _prune(em.rules, init, builder.acc)
-    index = {old: new for new, old in enumerate(kept)}
+    rules = tuple(em.rules)  # in emission order
+    states = {init, *(r.src for r in rules), *(r.dst for r in rules)}
     poca = POCA(
         states=frozenset(states),
         params=frozenset({PARAM}),
-        rules=tuple(em.rules[i] for i in kept),
+        rules=rules,
         initial=init,
-        finals=frozenset({builder.acc} if builder.acc in states else ()),
+        finals=frozenset({builder.acc} & states),
     )
     return BuildResult(
         poca=poca,
         annotations={s: m for s, m in em.annotations.items() if s in states},
         source=b,
         max_gadget_const=builder.max_const,
-        events={index[i]: ev for i, ev in builder.events.items() if i in index},
-        gadgets={index[i]: g for i, g in builder.gadget_specs.items() if i in index},
+        events=builder.events,
+        gadgets=builder.gadget_specs,
         small_runs=small_runs,
     )
-
-
-def _prune(rules, init, acc):
-    """Drop states that cannot lie on any initial-to-accepting state path;
-    returns the live states and the indices of the rules kept among them.
-
-    Purely graph-level (counter ignored), so it preserves acceptance per
-    parameter value and only removes dead branches.
-    """
-    fwd_adj, bwd_adj = {}, {}
-    for r in rules:
-        fwd_adj.setdefault(r.src, []).append(r.dst)
-        bwd_adj.setdefault(r.dst, []).append(r.src)
-
-    live = reachable([init], lambda u: fwd_adj.get(u, ())) & reachable(
-        [acc], lambda u: bwd_adj.get(u, ())
-    )
-    live.add(init)
-    return live, [i for i, r in enumerate(rules) if r.src in live and r.dst in live]
 
 
 # ---------------------------------------------------------------------------

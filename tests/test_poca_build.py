@@ -16,7 +16,7 @@ from ptareach.automata import (
     PtaRule,
     ZeroOnePTA,
 )
-from ptareach.fixtures import fixture_corpus, random_two_one_pta
+from ptareach.fixtures import crt_pta, fixture_corpus, random_two_one_pta
 from ptareach.poca_build import (
     CASES,
     CROSSINGS,
@@ -35,6 +35,7 @@ from ptareach.semantics import (
     Run,
     poca_reach_bounded,
     pta_reach_bruteforce,
+    reachable,
     validate_run,
 )
 from ptareach.solver import cross_check, find_bound_violation, zero_one_run_to_pta_run
@@ -179,6 +180,44 @@ def test_verdicts_follow_a_residue_check():
     report = cross_check(_mod3_pta(), 12)
     assert [row["via_poca"] for row in report.per_value] == [n % 3 == 0 for n in range(13)]
     assert report.agree
+
+
+CRT_MEMBERS = ([(3, 2)], [(3, 2), (4, 3)], [(4, 3), (5, 4)])
+
+
+@pytest.mark.parametrize("pairs", CRT_MEMBERS, ids=repr)
+def test_crt_verdicts_follow_every_residue(pairs):
+    # Acceptance needs N = r (mod a) for every (a, r): least N 2, 11 and 19.
+    # Without the residue check the first divergence is at N = 6, 12 and 20.
+    report = cross_check(crt_pta(pairs), 24)
+    assert report.agree, report.first_divergence
+    expected = [all(n % a == r for a, r in pairs) for n in range(25)]
+    assert [row["via_poca"] for row in report.per_value] == expected
+
+
+def test_budget_counts_only_kept_states():
+    # The walk allocates no state and dead gadgets are never emitted, so a
+    # budget of exactly the POCA's size suffices, though most of the gadgets
+    # the walk reaches here are dead.
+    b = to_zero_one_pta(crt_pta([(4, 3), (5, 4)]))
+    assert len(build_poca(b, budget=519).poca.states) == 519
+    with pytest.raises(BudgetExceeded):
+        build_poca(b, budget=518)
+
+
+def test_every_state_on_an_accepting_path():
+    ptas = [fx.pta for fx in fixture_corpus()] + [crt_pta(pairs) for pairs in CRT_MEMBERS]
+    for pta in ptas:
+        poca = build_poca(to_zero_one_pta(pta)).poca
+        if not poca.finals:
+            assert poca.states == {poca.initial} and poca.rules == ()
+            continue
+        fwd, bwd = {}, {}
+        for rule in poca.rules:
+            fwd.setdefault(rule.src, []).append(rule.dst)
+            bwd.setdefault(rule.dst, []).append(rule.src)
+        assert reachable([poca.initial], lambda s: fwd.get(s, ())) == poca.states
+        assert reachable(poca.finals, lambda s: bwd.get(s, ())) == poca.states
 
 
 def test_each_anchor_annotated_once():
@@ -502,7 +541,7 @@ def test_decode_output_pinned():
 
 # sha256 of the build output on the fixtures and the acceptance corpus's
 # random draws.  A change to the POCA construction must update it on purpose.
-BUILD_OUTPUT_SHA256 = "cecffd46809584103951fa6f150fb8db8538048c9117fb1d60d227d579a90ed8"
+BUILD_OUTPUT_SHA256 = "cc4a2a8d5678ab7a8c9a6b3644529a519e018d4b3ee8b19f69135bb24f5d9b0c"
 
 
 def test_build_output_pinned():
@@ -557,4 +596,7 @@ def test_poca_is_bisimulation_minimal():
     ptas = [fx.pta for fx in fixture_corpus()]
     rng = random.Random(20260809)
     ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
-    assert sum(_redundant_states(build_poca(to_zero_one_pta(pta))) for pta in ptas) == 0
+    results = [build_poca(to_zero_one_pta(pta)) for pta in ptas]
+    assert sum(_redundant_states(res) for res in results) == 0
+    # Nor is any rule there twice: events whose gadgets coincide share one.
+    assert all(len(set(res.poca.rules)) == len(res.poca.rules) for res in results)
