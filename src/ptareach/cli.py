@@ -104,7 +104,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    x, y = (int(part) for part in args.classify.split(","))
+    x, y = args.classify
     region = region_of((x, y), args.param)
     _emit({"point": [x, y], "param": args.param, "region": region.name}, args.json)
     return 0
@@ -186,6 +186,15 @@ def _cmd_depump(args) -> int:
     poca = _load_automaton(args.automaton, POCA)
     run = serialize.run_from_obj(json.loads(Path(args.run).read_text()))
     overrides = json.loads(Path(args.consts).read_text())
+    if not isinstance(overrides, dict):
+        overrides = {}
+    keys = ("k", "z", "upsilon")
+    bad = [key for key in keys if type(overrides.get(key)) is not int]
+    if bad:
+        raise ValueError(
+            f"{args.consts} must give integers for {', '.join(keys)}; "
+            f"missing or not an integer: {', '.join(bad)}"
+        )
     consts = DerivedConstants.scaled(
         k=overrides["k"], z=overrides["z"], upsilon=overrides["upsilon"]
     )
@@ -251,6 +260,17 @@ def _param_value(text: str) -> int:
     return value
 
 
+def _point_value(text: str) -> tuple:
+    """The argparse type of --classify: a clock pair X,Y of non-negative integers."""
+    try:
+        point = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        point = ()
+    if len(point) != 2 or min(point) < 0:
+        raise argparse.ArgumentTypeError(f"expected two non-negative integers X,Y, got {text!r}")
+    return point
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptareach",
@@ -274,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("regions", help="classify a clock pair")
-    p.add_argument("--classify", required=True, metavar="X,Y")
+    p.add_argument("--classify", type=_point_value, required=True, metavar="X,Y")
     p.add_argument("--param", type=_param_value, required=True)
     p.set_defaults(func=_cmd_regions)
 

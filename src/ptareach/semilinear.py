@@ -6,11 +6,13 @@ target state from source(0) is a finite union of arithmetic progressions
 a + b*N.  Only the relevant states -- reachable from the source and
 co-reachable to the target -- can lie on an accepted walk.  Construction:
 singletons below |relevant| by layered search, plus one progression per
-(cyclic state s, residue r): period = shortest cycle length b_s through s,
-offset = minimal weight of an accepted walk through s with that weight
-residue.  An accepted walk of weight w >= |relevant| visits some relevant
-state s twice, so s is cyclic, and splitting the walk at s shows that the
-offset for s and w mod b_s is at most w: w lies in that progression.
+(period, residue).  The periods are the shortest cycle lengths b_s of the
+cyclic states s.  For each period b, the offset at residue r is the least
+weight congruent to r mod b of an accepted walk through some s with
+b_s = b, found by one breadth-first search over (state, weight mod b,
+passed such an s).  An accepted walk of weight w >= |relevant| visits some
+relevant state s twice, so s is cyclic and the walk passes it: the offset
+for b_s and w mod b_s is at most w, and w lies in that progression.
 Minimal offsets stay below 2|Q|^2 because a longer minimal witness would
 contain an excisable cycle-multiple on one side of its s-visit.
 """
@@ -123,14 +125,16 @@ def letter_graph(oca: POCA):
     return succ, eps_reach
 
 
-def _restrict(succ, sources, accept):
-    """States reachable from the sources and co-reachable to the accept set."""
-    fwd = reachable(sources, succ.__getitem__)
+def _restrict(succ, eps_reach, source, target):
+    """(accept, relevant): the states reachable from the source whose epsilon
+    closure holds the target, and the states on a walk from the source to one."""
+    fwd = reachable([source], succ.__getitem__)
+    accept = {u for u in fwd if target in eps_reach[u]}
     pred = {}
     for u in fwd:
         for v in succ[u]:
             pred.setdefault(v, []).append(u)
-    return reachable(accept & fwd, lambda v: pred.get(v, ()))
+    return accept, reachable(accept, lambda v: pred.get(v, ()))
 
 
 def _shortest_cycle_lengths(edges) -> dict:
@@ -149,23 +153,26 @@ def _shortest_cycle_lengths(edges) -> dict:
     return out
 
 
-def _min_weight_per_residue(edges, start_set, modulus) -> dict:
-    """Minimal letter-walk weight per (node, weight mod modulus) class.
+def _min_weight_per_residue(edges, source, modulus, marked) -> dict:
+    """Least letter-walk weight from the source per (node, weight mod modulus,
+    passed) class, where passed tells whether the walk has visited a marked
+    node (the source included).
 
     Every letter weighs 1, so breadth-first order reaches each class first
-    at its minimal weight.
+    at its least weight.
     """
-    dist = {(s, 0): 0 for s in start_set}
+    start = (source, 0, source in marked)
+    dist = {start: 0}
 
     def successors(key):
-        u, r = key
+        u, r, passed = key
         d = dist[key] + 1
         for v in edges[u]:
-            nxt = (v, (r + 1) % modulus)
+            nxt = (v, (r + 1) % modulus, passed or v in marked)
             dist.setdefault(nxt, d)
             yield nxt
 
-    reachable(list(dist), successors)
+    reachable([start], successors)
     return dist
 
 
@@ -185,16 +192,15 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     succ, eps_reach = graph if graph is not None else letter_graph(oca)
     n = len(oca.states)
 
-    accept = {s for s in oca.states if target in eps_reach[s]}
-    relevant = _restrict(succ, {source}, accept)
+    accept, relevant = _restrict(succ, eps_reach, source, target)
     if source not in relevant:
         return APSet.from_pairs(())
     edges = {u: {v for v in succ[u] if v in relevant} for u in relevant}
 
     # Membership for weights below |relevant|, by layered subset search.  A
     # longer accepted walk revisits a relevant state v, which then lies on a
-    # cycle; the progression built below for v at the walk's residue has an
-    # offset no larger than the walk's weight, so it covers that weight.
+    # cycle; the progression built below for v's period at the walk's residue
+    # has an offset no larger than the walk's weight, so it covers that weight.
     pairs = []
     layer = {source}
     for t in range(len(relevant)):
@@ -205,27 +211,10 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
             break
 
     cycle_len = _shortest_cycle_lengths(edges)
-    redges = {u: set() for u in relevant}
-    for u in relevant:
-        for v in edges[u]:
-            redges[v].add(u)
-
     for b in sorted(set(cycle_len.values())):
-        fwd = _min_weight_per_residue(edges, {source}, b)
-        bwd = _min_weight_per_residue(redges, accept & relevant, b)
-        for s, b_s in cycle_len.items():
-            if b_s != b:
-                continue
-            for rho in range(b):
-                best = None
-                for r1 in range(b):
-                    d1 = fwd.get((s, r1))
-                    d2 = bwd.get((s, (rho - r1) % b))
-                    if d1 is not None and d2 is not None:
-                        cand = d1 + d2
-                        best = cand if best is None else min(best, cand)
-                if best is not None:
-                    pairs.append((best, b))
+        marked = {s for s, b_s in cycle_len.items() if b_s == b}
+        dist = _min_weight_per_residue(edges, source, b, marked)
+        pairs.extend((d, b) for (u, _, passed), d in dist.items() if passed and u in accept)
 
     result = APSet.from_pairs(pairs)
     _enforce_caps(result, n)

@@ -222,7 +222,8 @@ def test_semilinear_subcommand(tmp_path, capsys):
     assert payload["pairs"] == [[0, 2]]
 
 
-def test_depump_subcommand(tmp_path, capsys):
+def _depump_argv(tmp_path, consts):
+    """depump arguments for a 14-step run of a two-state +1 cycle."""
     from ptareach.automata import POCA, AddConst, PocaRule
     from ptareach.semantics import PocaConfiguration, Run
 
@@ -237,14 +238,35 @@ def test_depump_subcommand(tmp_path, capsys):
 
     (tmp_path / "m.json").write_text(serialize.dumps(m))
     (tmp_path / "run.json").write_text(json.dumps(serialize.run_to_obj(run)))
-    (tmp_path / "consts.json").write_text(json.dumps({"k": 2, "z": 1, "upsilon": 10}))
-    code = main(
-        ["depump", "--run", str(tmp_path / "run.json"), "--automaton", str(tmp_path / "m.json"),
-         "--param", "3", "--consts", str(tmp_path / "consts.json"), "--json"]
-    )
-    assert code == 0
+    (tmp_path / "consts.json").write_text(json.dumps(consts))
+    return ["depump", "--run", str(tmp_path / "run.json"), "--automaton", str(tmp_path / "m.json"),
+            "--param", "3", "--consts", str(tmp_path / "consts.json"), "--json"]
+
+
+def test_depump_subcommand(tmp_path, capsys):
+    assert main(_depump_argv(tmp_path, {"k": 2, "z": 1, "upsilon": 10})) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["delta_before"] - payload["delta_after"] == 2  # Gamma = LCM(2) * 1
+
+
+@pytest.mark.parametrize("consts, bad", [
+    ({"k": 2, "z": 1}, "upsilon"),
+    ({"k": 2, "z": "1", "upsilon": 10}, "z"),
+    ({"z": 1, "upsilon": True}, "k, upsilon"),
+    ([2, 1, 10], "k, z, upsilon"),
+])
+def test_depump_names_bad_consts_keys(tmp_path, capsys, consts, bad):
+    assert main(_depump_argv(tmp_path, consts)) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.endswith(f"missing or not an integer: {bad}"), message
+
+
+@pytest.mark.parametrize("point", ["5", "5,3,1", "a,3", "5,", "-1,2"])
+def test_regions_rejects_malformed_point(capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        main(["regions", f"--classify={point}", "--param", "5"])
+    assert exc.value.code == 2
+    assert "expected two non-negative integers X,Y" in capsys.readouterr().err
 
 
 def test_reduce_region_stage(fixture_dir, capsys):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ptareach import poca_build
 from ptareach.automata import POCA, AddConst, AddParam, PocaRule
-from ptareach.fixtures import random_unary_oca
+from ptareach.fixtures import crt_pta, random_unary_oca
 from ptareach.semilinear import (
     APSet,
     _min_weight_per_residue,
@@ -21,6 +22,7 @@ from ptareach.semilinear import (
     letter_graph,
     reach_lengths,
 )
+from ptareach.zero_one import to_zero_one_pta
 
 
 def _oca(rules, states, initial):
@@ -221,9 +223,12 @@ def test_eventual_periodicity_witness():
             assert apset_member(s, t) == apset_member(s, t + wheel)
 
 
-# Reference copies of the hand-written searches reach_lengths used before it
-# ran on the breadth-first kernel: a per-node BFS for the shortest cycles and
-# Dijkstra over (node, weight residue) for the least weights.
+# The reference construction reach_lengths must reproduce: a per-node BFS for
+# the shortest cycles, Dijkstra over (node, weight residue) for forward and
+# backward least weights, and a pairing of the two tables per (cyclic state,
+# residue).  _normalize keeps only the least offset per (period, residue),
+# the least pairing over the states of that period, so one residue search
+# per period must give exactly these pairs.
 
 
 def _reference_cycle_lengths(edges) -> dict:
@@ -258,6 +263,24 @@ def _reference_min_weights(edges, start_set, modulus) -> dict:
             if d + 1 < dist.get(key, float("inf")):
                 dist[key] = d + 1
                 heapq.heappush(heap, (d + 1, v, key[1]))
+    return dist
+
+
+def _reference_marked_min_weights(edges, source, modulus, marked) -> dict:
+    """Dijkstra over (node, weight residue, passed a marked node)."""
+    start = (source, 0, source in marked)
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, key = heapq.heappop(heap)
+        if dist[key] != d:
+            continue
+        u, r, passed = key
+        for v in edges[u]:
+            nxt = (v, (r + 1) % modulus, passed or v in marked)
+            if d + 1 < dist.get(nxt, float("inf")):
+                dist[nxt] = d + 1
+                heapq.heappush(heap, (d + 1, nxt))
     return dist
 
 
@@ -313,13 +336,31 @@ def test_kernel_searches_match_reference_searches():
         succ, _ = graph = letter_graph(oca)
         assert _shortest_cycle_lengths(succ) == _reference_cycle_lengths(succ)
         for b in (1, 2, 3, 5):
-            for start in ({"s0"}, set(oca.states)):
-                assert _min_weight_per_residue(succ, start, b) == _reference_min_weights(
-                    succ, start, b
-                )
+            for marked in (set(), {"s0"}, set(oca.states)):
+                assert _min_weight_per_residue(
+                    succ, "s0", b, marked
+                ) == _reference_marked_min_weights(succ, "s0", b, marked)
         for source in sorted(oca.states):
             for target in sorted(oca.states):
                 got = reach_lengths(oca, source, target, graph).pairs
                 assert got == _reference_reach_lengths(oca, source, target), (oca, source, target)
                 compared += bool(got)
     assert compared > 500
+
+
+@pytest.mark.parametrize("pairs", [[(3, 2), (4, 3)], [(4, 3), (5, 4)]])
+def test_crt_build_calls_match_reference(monkeypatch, pairs):
+    # The random draws above have at most 8 states; these builds ask about
+    # region automata of 154 and 190 states with periods up to 12 and 20.
+    calls = []
+
+    def recording(oca, source, target, graph=None):
+        result = reach_lengths(oca, source, target, graph)
+        calls.append((oca, source, target, result.pairs))
+        return result
+
+    monkeypatch.setattr(poca_build, "reach_lengths", recording)
+    poca_build.build_poca(to_zero_one_pta(crt_pta(pairs)))
+    assert len(calls) > 500
+    for oca, source, target, got in calls:
+        assert got == _reference_reach_lengths(oca, source, target), (source, target)
