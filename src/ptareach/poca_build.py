@@ -309,44 +309,50 @@ class _Emitter:
 
 
 class _RegionTables(dict):
-    """Per region: the region automaton, its epsilon graph, and AP memo.
+    """Per region: the 0/1 rules it enables, and its AP memo.
 
-    A region's automaton and epsilon graph are built the first time the
-    region is looked up; its OCA and the OCA's letter graph on the region's
-    first AP-memo miss, shared by every later ``reach_lengths`` call on it.
-    A build touches about half of the sixteen regions and asks AP tables of
-    about three.
+    A region's table is built the first time the region is looked up, in one
+    pass over the 0/1 rules that checks each distinct guard against the
+    region once.  It lists the enabled resetting rules0 ("resets") and the
+    enabled rules1 ("times"), each as (index, rule), and the epsilon graph
+    of the enabled reset-free rules0 ("eps").  The region automaton, its OCA
+    and the OCA's letter graph are built on the region's first AP-memo miss,
+    and shared by every later ``reach_lengths`` call on the region.  A build
+    looks up about half of the sixteen regions and asks AP tables of about
+    three.
     """
 
-    def __init__(self, b: ZeroOnePTA):
+    def __init__(self, b: ZeroOnePTA, clocks: tuple):
         super().__init__()
         self.b = b
+        self.clocks = clocks
 
     def __missing__(self, region):
-        b_r = region_automaton(self.b, region)
-        eps = {s: set() for s in self.b.states}
-        for rule in b_r.rules0:
-            eps[rule.src].add(rule.dst)
+        b = self.b
+        guards = dict.fromkeys(r.guard for r in b.rules0 + b.rules1)
+        holds = {g: region_satisfies(region, g, self.clocks) for g in guards}
+        eps = {s: set() for s in b.states}
+        for rule in b.rules0:
+            if not rule.resets and holds[rule.guard]:
+                eps[rule.src].add(rule.dst)
         table = self[region] = {
-            "automaton": b_r,
-            "oca": None,
+            "resets": [(i, r) for i, r in enumerate(b.rules0) if r.resets and holds[r.guard]],
             "eps": eps,
+            "times": [(i, r) for i, r in enumerate(b.rules1) if holds[r.guard]],
             "gens": {},
-            "letters": None,
         }
         return table
 
-
-def _gens(tables, region, u, v) -> tuple:
-    table = tables[region]
-    memo = table["gens"]
-    key = (u, v)
-    if key not in memo:
-        if table["oca"] is None:
-            table["oca"] = region_oca(table["automaton"])
-            table["letters"] = letter_graph(table["oca"])
-        memo[key] = reach_lengths(table["oca"], u, v, table["letters"]).pairs
-    return memo[key]
+    def gens(self, region, u, v) -> tuple:
+        """The dwell progressions from u to v inside the region."""
+        table = self[region]
+        memo = table["gens"]
+        if (u, v) not in memo:
+            if "oca" not in table:
+                table["oca"] = region_oca(region_automaton(self.b, region))
+                table["letters"] = letter_graph(table["oca"])
+            memo[u, v] = reach_lengths(table["oca"], u, v, table["letters"]).pairs
+        return memo[u, v]
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +555,8 @@ class _Builder:
             raise ValueError("builder expects reset-free time rules")
         self.b = b
         self.em = _Emitter(budget)
-        self.tables = _RegionTables(b)
-        self.enabled = {}
         self.clocks = tuple(sorted(b.clocks))
+        self.tables = _RegionTables(b, self.clocks)
         self.acc = self.em.fresh({"role": "acc"})
         self.events = {}  # entry rule index -> event
         self.gadget_specs = {}  # entry rule index -> GadgetSpec
@@ -591,17 +596,6 @@ class _Builder:
                     self._emit_event(anchor(key), key, ev, anchor)
         return anchors.get(start)
 
-    def _rules(self, region, bit):
-        """The resetting rules0 (bit 0) or the rules1 (bit 1) whose guards
-        hold in the region, as (index, rule), classified on first lookup."""
-        key = (region, bit)
-        if key not in self.enabled:
-            self.enabled[key] = [
-                (i, r) for i, r in enumerate(self.b.rules(bit))
-                if (bit or r.resets) and region_satisfies(region, r.guard, self.clocks)
-            ]
-        return self.enabled[key]
-
     def _anchor_events(self, kappa, slot, u):
         """Crossings, resets and accepts feasible from one anchor.
 
@@ -617,19 +611,19 @@ class _Builder:
             closure = reachable([u], self.tables[region]["eps"].__getitem__)
             reach = lambda v: (None,) if v in closure else ()
         elif case == "UR":
-            reach = lambda v: _gens(self.tables, region, u, v)[:1]
+            reach = lambda v: self.tables.gens(region, u, v)[:1]
         else:
-            reach = lambda v: _gens(self.tables, region, u, v)
+            reach = lambda v: self.tables.gens(region, u, v)
         checked = case in CASES  # the gadget checks the dwell
         out = []
         for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
-            for ridx, rule in self._rules(CHAINS[kappa][nxt_slot], 1):
+            for ridx, rule in self.tables[CHAINS[kappa][nxt_slot]]["times"]:
                 for gen in reach(rule.src):
                     out.append({
                         "type": "cross", "cond": cond, **_dwell_keys(gen),
                         "rule1": ridx, "v": rule.src, "next": (kappa, nxt_slot, rule.dst),
                     })
-        for ridx, rule in self._rules(region, 0):
+        for ridx, rule in self.tables[region]["resets"]:
             gens = reach(rule.src)
             if not gens:
                 continue

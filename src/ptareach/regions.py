@@ -40,6 +40,9 @@ class Region(enum.Enum):
     LOWER_RIGHT = (HIGH, MID)
     UPPER_RIGHT = (HIGH, HIGH)
 
+    # Members are singletons, so an identity hash is exact, and it runs in C.
+    __hash__ = object.__hash__
+
     @property
     def x_class(self) -> int:
         return self.value[0]

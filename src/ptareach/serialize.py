@@ -3,7 +3,9 @@
 Canonical form: object keys in the order written below, states/clocks/params
 sorted, rules in the automaton's own tuple order (rules0 before rules1 for
 0/1-PTAs), so the rule indices in witness labels survive a round trip.  The
-parser rejects unknown comparison symbols and unknown operation kinds.
+parser rejects unknown comparison symbols and unknown operation kinds, a
+name set that is not a JSON list, and a missing key, naming the key and the
+object it is missing from.
 """
 
 from __future__ import annotations
@@ -30,15 +32,31 @@ from .semantics import PocaConfiguration, PtaConfiguration, Run
 Automaton = Union[PTA, ZeroOnePTA, POCA]
 
 
+def _field(obj, key: str, what: str):
+    """obj[key] of the JSON object that `what` names."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} key")
+    return obj[key]
+
+
+def _name_set(value, what: str) -> frozenset:
+    """A JSON list of names; a string would otherwise read as its letters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return frozenset(value)
+
+
 def guard_to_obj(g: Guard) -> dict:
     return {"clock": g.clock, "cmp": g.cmp, "rhs": g.rhs}
 
 
 def guard_from_obj(obj: dict) -> Guard:
-    rhs = obj["rhs"]
+    rhs = _field(obj, "rhs", "guard")
     if not isinstance(rhs, (int, str)) or isinstance(rhs, bool):
         raise ValueError(f"guard rhs must be an integer or parameter name: {rhs!r}")
-    return Guard(obj["clock"], normalize_cmp(obj["cmp"]), rhs)
+    return Guard(_field(obj, "clock", "guard"), normalize_cmp(_field(obj, "cmp", "guard")), rhs)
 
 
 def op_to_obj(op) -> dict:
@@ -56,23 +74,23 @@ def op_to_obj(op) -> dict:
 
 
 def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
+    value = _field(obj, key, "operation")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"operation {key} must be an integer: {value!r}")
     return value
 
 
 def op_from_obj(obj: dict):
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", "operation")
     if kind == "add":
         return AddConst(_int_field(obj, "value"))
     if kind == "addp":
-        return AddParam(_int_field(obj, "sign"), obj["param"])
+        return AddParam(_int_field(obj, "sign"), _field(obj, "param", "operation"))
     if kind == "mod":
         return ModTest(_int_field(obj, "value"))
     if kind == "cmp":
-        cmp = normalize_cmp(obj["cmp"])
-        if isinstance(obj["rhs"], str):
+        cmp = normalize_cmp(_field(obj, "cmp", "operation"))
+        if isinstance(_field(obj, "rhs", "operation"), str):
             return CmpParam(cmp, obj["rhs"])
         return CmpConst(cmp, _int_field(obj, "rhs"))
     raise ValueError(f"unknown operation kind: {kind!r}")
@@ -118,25 +136,24 @@ def automaton_to_obj(a: Automaton) -> dict:
 
 
 def automaton_from_obj(obj: dict) -> Automaton:
-    kind = obj.get("kind")
-    if kind == "poca":
-        rules = tuple(
-            PocaRule(r["from"], op_from_obj(r["op"]), r["to"]) for r in obj["rules"]
-        )
-        return POCA(
-            frozenset(obj["states"]),
-            frozenset(obj["params"]),
-            rules,
-            obj["initial"],
-            frozenset(obj["finals"]),
-        )
-    if kind not in ("pta", "zero-one-pta"):
+    kind = _field(obj, "kind", "automaton")
+    if kind not in ("poca", "pta", "zero-one-pta"):
         raise ValueError(f"unknown automaton kind: {kind!r}")
+
+    def names(key):
+        return _name_set(_field(obj, key, "automaton"), f"automaton {key!r}")
+
     # A PTA rule reads as a 0/1 rule with time 0; only a 0/1-PTA keeps rules1.
     rules0, rules1 = [], []
-    for r in obj["rules"]:
-        guard = guard_from_obj(r["guard"])
-        rule = PtaRule(r["from"], guard, frozenset(r.get("resets", ())), r["to"])
+    for i, r in enumerate(_field(obj, "rules", "automaton")):
+        what = f"rule {i}"
+        src, dst = _field(r, "from", what), _field(r, "to", what)
+        if kind == "poca":
+            rules0.append(PocaRule(src, op_from_obj(_field(r, "op", what)), dst))
+            continue
+        guard = guard_from_obj(_field(r, "guard", what))
+        resets = _name_set(r.get("resets", []), f"{what} 'resets'")
+        rule = PtaRule(src, guard, resets, dst)
         time = r.get("time") if kind == "zero-one-pta" else 0
         if time == 0:
             rules0.append(rule)
@@ -144,8 +161,10 @@ def automaton_from_obj(obj: dict) -> Automaton:
             rules1.append(rule)
         else:
             raise ValueError(f"0/1-PTA rule needs time 0 or 1: {r!r}")
-    declared = (frozenset(obj["states"]), frozenset(obj["clocks"]), frozenset(obj["params"]))
-    end = (obj["initial"], frozenset(obj["finals"]))
+    end = (_field(obj, "initial", "automaton"), names("finals"))
+    if kind == "poca":
+        return POCA(names("states"), names("params"), tuple(rules0), *end)
+    declared = (names("states"), names("clocks"), names("params"))
     if kind == "pta":
         return PTA(*declared, tuple(rules0), *end)
     return ZeroOnePTA(*declared, tuple(rules0), tuple(rules1), *end)
@@ -187,19 +206,23 @@ def run_to_obj(run: Run) -> dict:
 
 
 def run_from_obj(obj: dict) -> Run:
-    kind = obj["kind"]
+    kind = _field(obj, "kind", "run")
+    if kind not in ("poca", "pta", "zero-one-pta"):
+        raise ValueError(f"unknown run kind: {kind!r}")
+    # A PTA label is (rule, delay) and a 0/1-PTA label (rule, time).
+    second = {"pta": "delay", "zero-one-pta": "time"}.get(kind)
     configs, labels = [], []
-    for entry in obj["steps"]:
+    for i, entry in enumerate(_field(obj, "steps", "run")):
+        what = f"run step {i}"
+        state = _field(entry, "state", what)
         if kind == "poca":
-            configs.append(PocaConfiguration(entry["state"], entry["counter"]))
+            configs.append(PocaConfiguration(state, _field(entry, "counter", what)))
         else:
-            configs.append(PtaConfiguration.make(entry["state"], entry["valuation"]))
+            configs.append(PtaConfiguration.make(state, _field(entry, "valuation", what)))
         label = entry.get("label")
         if label is not None:
-            if kind == "pta":
-                labels.append((label["rule"], label["delay"]))
-            elif kind == "zero-one-pta":
-                labels.append((label["rule"], label["time"]))
-            else:
-                labels.append(label["rule"])
+            rule = _field(label, "rule", f"{what} label")
+            if second is not None:
+                rule = (rule, _field(label, second, f"{what} label"))
+            labels.append(rule)
     return Run(kind, tuple(configs), tuple(labels))

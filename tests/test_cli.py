@@ -424,3 +424,24 @@ def test_parse_rejects_non_integral_operations(tmp_path, capsys, op):
     }))
     assert main(["parse", "--input", str(path)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+def _first_rule(obj, **fields):
+    """obj with its rules replaced by its first rule, fields set (None drops one)."""
+    rule = {**obj["rules"][0], **fields}
+    return {**obj, "rules": [{k: v for k, v in rule.items() if v is not None}]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: _first_rule(obj, resets="xy"), "rule 0 'resets' must be a JSON list"),
+    (lambda obj: {**obj, "states": "ab"}, "automaton 'states' must be a JSON list"),
+    (lambda obj: {**obj, "finals": "b"}, "automaton 'finals' must be a JSON list"),
+    (lambda obj: _first_rule(obj, to=None), "rule 0 has no 'to' key"),
+    (lambda obj: [obj], "automaton must be a JSON object, not list"),
+], ids=["resets", "states", "finals", "to", "top-level"])
+def test_parse_rejects_malformed_automata(fixture_dir, tmp_path, capsys, edit, message):
+    # A string is no list of its letters, and the error names the bad field.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads((fixture_dir / "even.json").read_text()))))
+    assert main(["parse", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -258,31 +258,10 @@ def test_immediate_acceptance_within_offset_envelope():
         assert all(0 <= v <= 2 * max(n, 2) for v in run.counter_values())
 
 
-def test_region_tables_built_on_first_use(monkeypatch):
-    # A region's automaton is built only when the build looks at the region,
-    # and its OCA only when an AP table of the region is asked for.
-    from ptareach import poca_build
-
-    calls = {"region_automaton": [], "region_oca": []}
-    for name in calls:
-        original = getattr(poca_build, name)
-
-        def wrapped(*args, _fn=original, _seen=calls[name]):
-            _seen.append(args)
-            return _fn(*args)
-
-        monkeypatch.setattr(poca_build, name, wrapped)
-    build_poca(to_zero_one_pta(next(f for f in fixture_corpus() if f.name == "even").pta))
-    regions = [region for _, region in calls["region_automaton"]]
-    assert len(set(regions)) == len(regions) < 16
-    assert 0 < len(calls["region_oca"]) < len(regions)
-
-
-def test_each_rule_classified_once_per_region(monkeypatch):
-    # The anchor walker reads a per-build table of the rules enabled in each
-    # region, so a guard is checked against a region at most once per rule
-    # carrying it, however many anchors the region holds.  Region tables
-    # stay lazy on a random draw too.
+def _log_region_calls(monkeypatch):
+    """Log poca_build's calls of its region helpers: (region, guard) counts
+    of region_satisfies, (region, automaton) per region_automaton and the
+    automaton per region_oca."""
     from collections import Counter
 
     from ptareach import poca_build
@@ -293,13 +272,48 @@ def test_each_rule_classified_once_per_region(monkeypatch):
         calls["region_satisfies"][region, guard] += 1
         return _fn(region, guard, clock_order)
 
-    monkeypatch.setattr(poca_build, "region_satisfies", classify)
-    for name in ("region_automaton", "region_oca"):
-        def wrapped(*args, _fn=getattr(poca_build, name), _seen=calls[name]):
-            _seen.append(args)
-            return _fn(*args)
+    def automaton(b, region, _fn=poca_build.region_automaton):
+        b_r = _fn(b, region)
+        calls["region_automaton"].append((region, b_r))
+        return b_r
 
-        monkeypatch.setattr(poca_build, name, wrapped)
+    def oca(b_r, _fn=poca_build.region_oca):
+        calls["region_oca"].append(b_r)
+        return _fn(b_r)
+
+    monkeypatch.setattr(poca_build, "region_satisfies", classify)
+    monkeypatch.setattr(poca_build, "region_automaton", automaton)
+    monkeypatch.setattr(poca_build, "region_oca", oca)
+    return calls
+
+
+def _assert_automata_on_first_ap_miss(calls):
+    # One region automaton and one OCA of it per region whose AP table is
+    # asked for, and fewer such regions than the build classifies.
+    regions = [region for region, _ in calls["region_automaton"]]
+    assert len(set(regions)) == len(regions)
+    built = [b_r for _, b_r in calls["region_automaton"]]
+    assert len(built) == len(calls["region_oca"])
+    assert all(a is b for a, b in zip(built, calls["region_oca"]))
+    classified = {region for region, _ in calls["region_satisfies"]}
+    assert 0 < len(regions) < len(classified) <= 16
+
+
+def test_region_tables_built_on_first_use(monkeypatch):
+    # A region's rules are classified only when the build looks at the
+    # region, and its automaton and OCA only when an AP table of the region
+    # is asked for.
+    calls = _log_region_calls(monkeypatch)
+    build_poca(to_zero_one_pta(next(f for f in fixture_corpus() if f.name == "even").pta))
+    _assert_automata_on_first_ap_miss(calls)
+
+
+def test_each_rule_classified_once_per_region(monkeypatch):
+    # A region's table is one pass over the 0/1 rules that checks each
+    # distinct guard against the region exactly once, however many rules
+    # carry the guard and however many anchors the region holds.  Region
+    # automata stay lazy on a random draw too.
+    calls = _log_region_calls(monkeypatch)
     even = next(f for f in fixture_corpus() if f.name == "even").pta
     rng = random.Random(20260809)
     r6 = [random_two_one_pta(rng, max_states=3) for _ in range(7)][-1]  # acceptance draw r6
@@ -308,12 +322,13 @@ def test_each_rule_classified_once_per_region(monkeypatch):
             seen.clear()
         b = to_zero_one_pta(pta)
         build_poca(b)
-        carriers = Counter(r.guard for r in b.rules0 + b.rules1)
+        guards = {r.guard for r in b.rules0 + b.rules1}
+        assert len(guards) < len(b.rules0 + b.rules1)  # some guard has several carriers
         classified = calls["region_satisfies"]
-        assert classified and all(k <= carriers[g] for (_, g), k in classified.items())
-        regions = [region for _, region in calls["region_automaton"]]
-        assert len(set(regions)) == len(regions) < 16
-        assert 0 < len(calls["region_oca"]) < len(regions)
+        assert classified and set(classified.values()) == {1}
+        for region in {region for region, _ in classified}:
+            assert {g for r, g in classified if r is region} == guards
+        _assert_automata_on_first_ap_miss(calls)
 
 
 def test_fixture_equivalence_per_parameter_value():

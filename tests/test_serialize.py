@@ -93,6 +93,29 @@ def test_unknown_kind_and_cmp_rejected():
         serialize.op_from_obj({"kind": "cmp", "cmp": "!=", "rhs": 3})
     with pytest.raises(ValueError):
         serialize.op_from_obj({"kind": "teleport"})
+    # A name set must be a JSON list, not a string read letter by letter,
+    # and a missing key is named with the object it is missing from.
+    even = serialize.automaton_to_obj(fixture_corpus()[0].pta)
+    for key, value in (("states", "ab"), ("clocks", "xy"), ("params", "p"), ("finals", "b")):
+        with pytest.raises(ValueError, match=f"automaton '{key}' must be a JSON list"):
+            serialize.automaton_from_obj({**even, key: value})
+    rule = even["rules"][0]
+    for rule_obj, message in (
+        ({**rule, "resets": "xy"}, "rule 0 'resets' must be a JSON list"),
+        ({k: v for k, v in rule.items() if k != "to"}, "rule 0 has no 'to' key"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            serialize.automaton_from_obj({**even, "rules": [rule_obj]})
+    with pytest.raises(ValueError, match="automaton must be a JSON object"):
+        serialize.automaton_from_obj([even])
+    run = serialize.run_to_obj(poca_reach_bounded(poca_mod6_fixture(), 5, -10, 40))
+    del run["steps"][1]["counter"]
+    with pytest.raises(ValueError, match="run step 1 has no 'counter' key"):
+        serialize.run_from_obj(run)
+    with pytest.raises(ValueError, match="run must be a JSON object"):
+        serialize.run_from_obj(run["steps"])
+    with pytest.raises(ValueError, match="unknown run kind: 'mystery'"):
+        serialize.run_from_obj({**run, "kind": "mystery"})
 
 
 def test_operation_numbers_must_be_integers():
