@@ -316,10 +316,11 @@ class _RegionTables(dict):
     region once.  It lists the enabled resetting rules0 ("resets") and the
     enabled rules1 ("times"), each as (index, rule), and the epsilon graph
     of the enabled reset-free rules0 ("eps").  The region automaton, its OCA
-    and the OCA's letter graph are built on the region's first AP-memo miss,
-    and shared by every later ``reach_lengths`` call on the region.  A build
-    looks up about half of the sixteen regions and asks AP tables of about
-    three.
+    and the OCA's letter graph are built on the region's first AP-memo miss.
+    Every later ``reach_lengths`` call on the region shares that graph, and
+    with it the walks from each source, searched on the source's first call:
+    the other targets of that source only read them off.  A build looks up
+    about half of the sixteen regions and asks AP tables of about three.
     """
 
     def __init__(self, b: ZeroOnePTA, clocks: tuple):

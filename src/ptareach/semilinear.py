@@ -1,25 +1,25 @@
 """Reachable counter values of +0/+1 one-counter automata as AP unions.
 
 A one-counter automaton with only +0/+1 updates is a unary NFA: +1 rules are
-letters, +0 rules epsilon moves.  The set of counter values reachable at a
-target state from source(0) is a finite union of arithmetic progressions
-a + b*N.  Only the relevant states -- reachable from the source and
-co-reachable to the target -- can lie on an accepted walk.  Construction:
-singletons below |relevant| by layered search, plus one progression per
-(period, residue).  The periods are the shortest cycle lengths b_s of the
-cyclic states s.  For each period b, the offset at residue r is the least
-weight congruent to r mod b of an accepted walk through some s with
-b_s = b, found by one breadth-first search over (state, weight mod b,
-passed such an s).  An accepted walk of weight w >= |relevant| visits some
-relevant state s twice, so s is cyclic and the walk passes it: the offset
-for b_s and w mod b_s is at most w, and w lies in that progression.
+letters, +0 rules epsilon moves.  The counter values reachable at a target
+from source(0) are the weights of the letter walks from the source to a
+state whose epsilon closure holds the target: a finite union of arithmetic
+progressions a + b*N.  Those walks stay in the source's forward set, so they
+are searched once per source and every target is read off the result.  The
+periods are the shortest cycle lengths b_s of the cyclic states s.  For each
+period b, one breadth-first search over (state, weight mod b, passed an s
+with b_s = b) gives per state and residue the least weight d of a walk that
+passes such an s; pumping the cycle at s gives d + b*N, and a walk of weight
+w that passes a cyclic s lies in the progression of d <= w at w mod b_s.  A
+walk that passes no cyclic state repeats none, so a layered search over the
+non-cyclic states gives the other weights as singletons and stops by itself.
 Minimal offsets stay below 2|Q|^2 because a longer minimal witness would
 contain an excisable cycle-multiple on one side of its s-visit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automata import POCA, AddConst
 from .semantics import reachable, shortest_path
@@ -104,13 +104,47 @@ def apset_contains_zero(s: APSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def letter_graph(oca: POCA):
-    """Left-epsilon-closed letter edges plus epsilon ancestry per state.
+@dataclass(eq=False)
+class LetterGraph:
+    """A +0/+1 automaton's letter graph and its walk tables per source.
 
-    Returns (succ, eps_reach) where succ[s] is the set of states reachable
-    with exactly one +1 rule after any number of +0 rules, and eps_reach[s]
-    the states reachable by +0 rules alone (including s).
+    succ[s]: the states one +1 rule reaches after any +0 rules; eps_reach[s]:
+    the states +0 rules alone reach (s included); cycle_len[s]: the length of
+    the shortest letter-cycle through s (absent if none); walks: walks_from's memo.
     """
+
+    succ: dict
+    eps_reach: dict
+    cycle_len: dict
+    walks: dict = field(default_factory=dict, init=False)
+
+    def walks_from(self, source) -> dict:
+        """Per state u of the source's forward set, the pairs its walks to u give.
+
+        (t, 0) for the weight t of each walk to u through no cyclic state;
+        per period b of the forward set and residue mod b, (d, b) with d the
+        least such weight of a walk to u that passes a state s with b_s = b.
+        """
+        if source not in self.walks:
+            succ, cycle_len = self.succ, self.cycle_len
+            ends = self.walks[source] = {}
+            layer, t = {source} - cycle_len.keys(), 0
+            while layer:
+                for u in layer:
+                    ends.setdefault(u, []).append((t, 0))
+                layer, t = {v for u in layer for v in succ[u] if v not in cycle_len}, t + 1
+            periods = {}
+            for s in reachable([source], succ.__getitem__) & cycle_len.keys():
+                periods.setdefault(cycle_len[s], set()).add(s)
+            for b, marked in periods.items():
+                for (u, _, passed), d in _min_weight_per_residue(succ, source, b, marked).items():
+                    if passed:
+                        ends.setdefault(u, []).append((d, b))
+        return self.walks[source]
+
+
+def letter_graph(oca: POCA) -> LetterGraph:
+    """The left-epsilon-closed letter graph of a +0/+1 automaton."""
     eps, ones = {}, {}
     for rule in oca.rules:
         if not isinstance(rule.op, AddConst) or rule.op.value not in (0, 1):
@@ -119,22 +153,8 @@ def letter_graph(oca: POCA):
         target.setdefault(rule.src, set()).add(rule.dst)
 
     eps_reach = {s: reachable([s], lambda u: eps.get(u, ())) for s in oca.states}
-    succ = {
-        s: {w for u in eps_reach[s] for w in ones.get(u, ())} for s in oca.states
-    }
-    return succ, eps_reach
-
-
-def _restrict(succ, eps_reach, source, target):
-    """(accept, relevant): the states reachable from the source whose epsilon
-    closure holds the target, and the states on a walk from the source to one."""
-    fwd = reachable([source], succ.__getitem__)
-    accept = {u for u in fwd if target in eps_reach[u]}
-    pred = {}
-    for u in fwd:
-        for v in succ[u]:
-            pred.setdefault(v, []).append(u)
-    return accept, reachable(accept, lambda v: pred.get(v, ()))
+    succ = {s: {w for u in eps_reach[s] for w in ones.get(u, ())} for s in oca.states}
+    return LetterGraph(succ, eps_reach, _shortest_cycle_lengths(succ))
 
 
 def _shortest_cycle_lengths(edges) -> dict:
@@ -182,42 +202,22 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     The input must have +0/+1 updates only (no tests, no parameters).
     Enforced caps relative to n = |Q|: offsets <= 2n^2, periods <= n, and at
     most 4n^2 progressions; exceeding them raises CapViolation.  ``graph`` is
-    ``letter_graph(oca)``, for callers asking about many pairs of one
-    automaton; it is computed here when omitted.
+    ``letter_graph(oca)``, computed here when omitted; callers asking about
+    many pairs of one automaton pass it, so that each source's walks are
+    searched once and each target takes their union over the states whose
+    epsilon closure holds it.
     """
     if oca.params:
         raise ValueError("reach_lengths expects a parameter-free automaton")
     if source not in oca.states or target not in oca.states:
         raise ValueError("source/target must be declared states")
-    succ, eps_reach = graph if graph is not None else letter_graph(oca)
-    n = len(oca.states)
-
-    accept, relevant = _restrict(succ, eps_reach, source, target)
-    if source not in relevant:
-        return APSet.from_pairs(())
-    edges = {u: {v for v in succ[u] if v in relevant} for u in relevant}
-
-    # Membership for weights below |relevant|, by layered subset search.  A
-    # longer accepted walk revisits a relevant state v, which then lies on a
-    # cycle; the progression built below for v's period at the walk's residue
-    # has an offset no larger than the walk's weight, so it covers that weight.
+    graph = letter_graph(oca) if graph is None else graph
     pairs = []
-    layer = {source}
-    for t in range(len(relevant)):
-        if layer & accept:
-            pairs.append((t, 0))
-        layer = {v for u in layer for v in edges[u]}
-        if not layer:
-            break
-
-    cycle_len = _shortest_cycle_lengths(edges)
-    for b in sorted(set(cycle_len.values())):
-        marked = {s for s, b_s in cycle_len.items() if b_s == b}
-        dist = _min_weight_per_residue(edges, source, b, marked)
-        pairs.extend((d, b) for (u, _, passed), d in dist.items() if passed and u in accept)
-
+    for u, found in graph.walks_from(source).items():
+        if target in graph.eps_reach[u]:
+            pairs.extend(found)
     result = APSet.from_pairs(pairs)
-    _enforce_caps(result, n)
+    _enforce_caps(result, len(oca.states))
     return result
 
 

@@ -132,9 +132,17 @@ def in_lambda(word: str, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _lattice(semirun: Semirun, z: Optional[int]) -> int:
+    """The lattice constant Z: the modulo LCM unless given, and at least 1."""
+    z = semirun.modulus() if z is None else z
+    if z < 1:
+        raise SemirunError(f"lattice constant Z = {z} must be at least 1")
+    return z
+
+
 def shift(semirun: Semirun, d: int, z: Optional[int] = None) -> Semirun:
     """Translate all counter values by d, a multiple of the modulo LCM."""
-    z = semirun.modulus() if z is None else z
+    z = _lattice(semirun, z)
     if d % z != 0:
         raise SemirunError(f"shift distance {d} is not a multiple of Z = {z}")
     configs = tuple(PocaConfiguration(c.state, c.counter + d) for c in semirun.configs)
@@ -147,7 +155,7 @@ def glue(semirun: Semirun, i: int, j: int, z: Optional[int] = None) -> Semirun:
     Requires i < j, equal states at i and j, and a value gap divisible by
     the modulo LCM.
     """
-    z = semirun.modulus() if z is None else z
+    z = _lattice(semirun, z)
     if not 0 <= i < j <= len(semirun):
         raise SemirunError("glue needs positions 0 <= i < j <= length")
     if semirun.state(i) != semirun.state(j):
@@ -166,7 +174,7 @@ def glue(semirun: Semirun, i: int, j: int, z: Optional[int] = None) -> Semirun:
 
 def multi_glue(semirun: Semirun, intervals, z: Optional[int] = None) -> Semirun:
     """Glue pairwise disjoint intervals left to right, re-indexing as we go."""
-    z = semirun.modulus() if z is None else z
+    z = _lattice(semirun, z)
     ordered = sorted(intervals)
     for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
         if b1 > a2:
@@ -204,6 +212,9 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
 
     Returns (depumped semirun, list of removed intervals).
     """
+    ok, step = semirun.validate()
+    if not ok:
+        raise SemirunError(f"depump needs a semirun; step {step} is not a semitransition")
     if consts.gamma != lcm_range(k) * consts.z:
         raise SemirunError("constants inconsistent: Gamma != LCM(K) * Z")
     word = phi(semirun)

@@ -222,8 +222,9 @@ def test_semilinear_subcommand(tmp_path, capsys):
     assert payload["pairs"] == [[0, 2]]
 
 
-def _depump_argv(tmp_path, consts):
-    """depump arguments for a 14-step run of a two-state +1 cycle."""
+def _depump_argv(tmp_path, consts, label_shift=0):
+    """depump arguments for a 14-step run of a two-state +1 cycle, its rule
+    labels shifted by label_shift."""
     from ptareach.automata import POCA, AddConst, PocaRule
     from ptareach.semantics import PocaConfiguration, Run
 
@@ -232,7 +233,7 @@ def _depump_argv(tmp_path, consts):
     configs = [PocaConfiguration("a", 0)]
     labels = []
     for i in range(14):
-        labels.append(i % 2)
+        labels.append(i % 2 + label_shift)
         configs.append(PocaConfiguration("b" if i % 2 == 0 else "a", i + 1))
     run = Run("poca", tuple(configs), tuple(labels))
 
@@ -247,6 +248,14 @@ def test_depump_subcommand(tmp_path, capsys):
     assert main(_depump_argv(tmp_path, {"k": 2, "z": 1, "upsilon": 10})) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["delta_before"] - payload["delta_after"] == 2  # Gamma = LCM(2) * 1
+
+
+def test_depump_rejects_runs_that_are_not_semiruns(tmp_path, capsys):
+    # Labels -2/-1 name no rule of the two-rule automaton.
+    assert main(_depump_argv(tmp_path, {"k": 2, "z": 1, "upsilon": 10}, label_shift=-2)) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SemirunError", error
+    assert "step 0 is not a semitransition" in error["message"]
 
 
 @pytest.mark.parametrize("consts, bad", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptareach import poca_build
+from ptareach import poca_build, semilinear
 from ptareach.automata import POCA, AddConst, AddParam, PocaRule
 from ptareach.fixtures import crt_pta, random_unary_oca
 from ptareach.semilinear import (
@@ -148,9 +148,10 @@ class TestReachLengths:
         assert s.pairs == ((0, 2),)
 
     def test_layered_search_stops_at_relevant_states(self, monkeypatch):
-        # Isolated states lengthen no walk: the layered search must stop
-        # after |relevant| = 1 layer instead of emitting a singleton per
-        # layer up to |Q|^2 for the normalization to throw away.
+        # Isolated states lengthen no walk: the layered search visits only
+        # states on no cycle, and a walk through those repeats none, so it
+        # stops by itself instead of emitting a singleton per layer up to
+        # |Q|^2 for the normalization to throw away.
         raw = []
         monkeypatch.setattr(
             "ptareach.semilinear._normalize", lambda pairs: raw.extend(pairs) or _normalize(pairs)
@@ -285,7 +286,8 @@ def _reference_marked_min_weights(edges, source, modulus, marked) -> dict:
 
 
 def _reference_reach_lengths(oca, source, target) -> tuple:
-    succ, eps_reach = letter_graph(oca)
+    graph = letter_graph(oca)
+    succ, eps_reach = graph.succ, graph.eps_reach
     accept = {s for s in oca.states if target in eps_reach[s]}
     fwd, stack = {source}, [source]
     while stack:
@@ -333,7 +335,8 @@ def test_kernel_searches_match_reference_searches():
     compared = 0
     for _ in range(150):
         oca = random_unary_oca(rng, max_states=8)
-        succ, _ = graph = letter_graph(oca)
+        graph = letter_graph(oca)
+        succ = graph.succ
         assert _shortest_cycle_lengths(succ) == _reference_cycle_lengths(succ)
         for b in (1, 2, 3, 5):
             for marked in (set(), {"s0"}, set(oca.states)):
@@ -364,3 +367,26 @@ def test_crt_build_calls_match_reference(monkeypatch, pairs):
     assert len(calls) > 500
     for oca, source, target, got in calls:
         assert got == _reference_reach_lengths(oca, source, target), (source, target)
+
+
+def test_crt_build_searches_each_graph_and_source_once(monkeypatch):
+    # One cycle search per letter graph, i.e. per region OCA, and one residue
+    # search per (graph, source, period), shared by every target asked about
+    # that source.  Recording the searched graphs keeps their ids distinct.
+    region_oca = poca_build.region_oca
+    cycles, residues = semilinear._shortest_cycle_lengths, semilinear._min_weight_per_residue
+    ocas, graphs, searches = [], [], []
+    monkeypatch.setattr(poca_build, "region_oca", lambda b: ocas.append(b) or region_oca(b))
+    monkeypatch.setattr(
+        semilinear, "_shortest_cycle_lengths", lambda edges: graphs.append(edges) or cycles(edges)
+    )
+    monkeypatch.setattr(
+        semilinear,
+        "_min_weight_per_residue",
+        lambda edges, source, modulus, marked: searches.append((edges, source, modulus))
+        or residues(edges, source, modulus, marked),
+    )
+    poca_build.build_poca(to_zero_one_pta(crt_pta([(3, 2), (4, 3)])))
+    assert len(graphs) == len(ocas) > 0
+    keys = [(id(edges), source, modulus) for edges, source, modulus in searches]
+    assert keys and len(set(keys)) == len(keys)

@@ -145,6 +145,21 @@ class TestGlue:
             glue(run, 0, 2, z=4)
 
 
+@pytest.mark.parametrize("z", [0, -2])
+@pytest.mark.parametrize(
+    "surgery",
+    [
+        lambda run, z: shift(run, 4, z=z),
+        lambda run, z: glue(run, 0, 2, z=z),
+        lambda run, z: multi_glue(run, [(0, 2)], z=z),
+    ],
+    ids=["shift", "glue", "multi_glue"],
+)
+def test_lattice_constant_must_be_positive(surgery, z):
+    with pytest.raises(SemirunError, match="must be at least 1"):
+        surgery(_staircase(4), z)
+
+
 def _staircase(length, n=5):
     """+1 staircase over a two-state cycle, from counter 0."""
     m = _machine([AddConst(1), AddConst(1)], states=("a", "b"))
@@ -212,6 +227,18 @@ class TestDepump:
         big = DerivedConstants.scaled(k=2, z=1, upsilon=1)
         with pytest.raises(SemirunError, match="Lambda_8"):
             depump(unbalanced, 2, big)
+
+    def test_rejects_runs_that_are_not_semiruns(self):
+        # Labels -2/-1 would alias rules 0/1 by negative indexing, and a
+        # counter jumping by 2 per step would surface only as a potential
+        # bookkeeping fault.
+        consts = DerivedConstants.scaled(k=2, z=1, upsilon=10)
+        run = _staircase(14)
+        aliased = Semirun(run.poca, run.n, run.configs, tuple(r - 2 for r in run.rules))
+        doubled = tuple(PocaConfiguration(c.state, 2 * c.counter) for c in run.configs)
+        for bad in (aliased, Semirun(run.poca, run.n, doubled, run.rules)):
+            with pytest.raises(SemirunError, match="step 0 is not a semitransition"):
+                depump(bad, 2, consts)
 
     def test_window_shortage_reported(self):
         consts = DerivedConstants.scaled(k=3, z=1, upsilon=10)
