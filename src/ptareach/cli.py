@@ -155,8 +155,7 @@ def _cmd_simulate(args) -> int:
         run = poca_reach_bounded(automaton, args.param, -hi, hi)
     else:
         oracle = pta_reach_bruteforce if isinstance(automaton, PTA) else zero_one_reach_bruteforce
-        default = max(args.param, max(automaton.consts(), default=0)) + 1
-        run = oracle(automaton, args.param, default if args.cap is None else args.cap)
+        run = oracle(automaton, args.param, args.cap)
     if run is None:
         _emit({"reachable": False, "param": args.param}, args.json)
         return 1

@@ -111,37 +111,26 @@ CHAINS = {
     "XHI": (Region.RAY_LEFT_HIGH, Region.UPPER_LEFT, Region.RAY_RIGHT_HIGH, Region.UPPER_RIGHT),
 }
 
-# Chain successor edges: (kappa, slot) -> ((next_slot, z_condition), ...).
-# Conditions name the runtime test guarding the crossing; None is always-on.
+# The crossings that depend on the difference z: (kappa, slot) -> ((next
+# slot, z condition), ...).  Every other slot crosses to the next slot of its
+# chain unconditionally, and the last slot, UPPER_RIGHT, has no crossing.
 CROSSINGS = {
-    ("Z0", 0): ((1, None),),
-    ("Z0", 1): ((2, None),),
-    ("Z0", 2): ((3, None),),
     ("YMID", 0): ((1, "z<=N-2"), (2, "z=N-1")),
-    ("YMID", 1): ((2, None),),
     ("YMID", 2): ((3, "z>=2"), (4, "z=1")),
-    ("YMID", 3): ((4, None),),
-    ("YMID", 4): ((5, None),),
-    ("YN", 0): ((1, None),),
-    ("YN", 1): ((2, None),),
-    ("YN", 2): ((3, None),),
-    ("YHI", 0): ((1, None),),
-    ("YHI", 1): ((2, None),),
-    ("YHI", 2): ((3, None),),
     ("XMID", 0): ((1, "z>=2-N"), (2, "z=1-N")),
-    ("XMID", 1): ((2, None),),
     ("XMID", 2): ((3, "z<=-2"), (4, "z=-1")),
-    ("XMID", 3): ((4, None),),
-    ("XMID", 4): ((5, None),),
-    ("XN", 0): ((1, None),),
-    ("XN", 1): ((2, None),),
-    ("XN", 2): ((3, None),),
-    ("XHI", 0): ((1, None),),
-    ("XHI", 1): ((2, None),),
-    ("XHI", 2): ((3, None),),
 }
 
-# Gadget case for an open cell in a given class chain.
+
+def _crossings(kappa: str, slot: int) -> tuple:
+    """(next slot, z condition or None) per crossing out of a chain slot."""
+    if slot + 1 == len(CHAINS[kappa]):
+        return ()
+    return CROSSINGS.get((kappa, slot), ((slot + 1, None),))
+
+
+# Gadget case for an open cell other than UPPER_RIGHT, which is "UR" in every
+# chain.
 CELL_CASE = {
     ("Z0", Region.LOWER_LEFT): "LL_MAIN",
     ("YMID", Region.LOWER_LEFT): "LL_MAIN",
@@ -152,17 +141,15 @@ CELL_CASE = {
     ("XMID", Region.UPPER_LEFT): "UL_TOP",
     ("XN", Region.UPPER_LEFT): "UL_ZN",
     ("XHI", Region.UPPER_LEFT): "UL_ZN1",
-    ("Z0", Region.UPPER_RIGHT): "UR",
-    ("YMID", Region.UPPER_RIGHT): "UR",
-    ("YN", Region.UPPER_RIGHT): "UR",
-    ("YHI", Region.UPPER_RIGHT): "UR",
-    ("XMID", Region.UPPER_RIGHT): "UR",
-    ("XN", Region.UPPER_RIGHT): "UR",
-    ("XHI", Region.UPPER_RIGHT): "UR",
 }
 
-# New-difference action per (point-like region, reset set).  Actions:
-# noop / zero / plus_n / minus_n / plus_sent / minus_sent / add_p / sub_p.
+
+def _case(kappa: str, region: Region) -> Optional[str]:
+    """The gadget case of a region in kappa's chain; None if point-like."""
+    return "UR" if region is Region.UPPER_RIGHT else CELL_CASE.get((kappa, region))
+
+
+# New-difference action per (point-like region, reset set), one of _ACTIONS.
 POINT_RESET_ACTIONS = {
     Region.CORNER_00: {"y": "noop", "x": "noop", "xy": "noop"},
     Region.SEG_BOTTOM_LEFT: {"y": "noop", "x": "zero", "xy": "zero"},
@@ -176,16 +163,6 @@ POINT_RESET_ACTIONS = {
     Region.CORNER_0N: {"y": "zero", "x": "noop", "xy": "zero"},
     Region.RAY_LEFT_HIGH: {"y": "zero", "x": "noop", "xy": "zero"},
     Region.RAY_RIGHT_HIGH: {"y": "plus_n", "x": "minus_sent", "xy": "zero"},
-}
-
-ACTION_TARGET_KAPPA = {
-    "zero": "Z0",
-    "plus_n": "YN",
-    "minus_n": "XN",
-    "plus_sent": "YHI",
-    "minus_sent": "XHI",
-    "add_p": "YMID",
-    "sub_p": "XMID",
 }
 
 
@@ -415,25 +392,29 @@ def _bound_test(bound: str, cmp: str, b_period: int):
 
 
 # Open-cell cases other than UR: (bound the checked value meets, "N" or "0";
-# parameter descents; extra dwell).  After the descents the counter holds
-# w = z + (2 - descents) * N, and a full crossing dwells
-# (N - w or w) - 2 - extra time units.
+# parameter descents; extra dwell; (reset of y, reset of x)).  After the
+# descents the counter holds w = z + (2 - descents) * N, and a full crossing
+# dwells (N - w or w) - 2 - extra time units.  A reset is a lock style, or
+# the action applied after an existence check; resetting both clocks always
+# zeroes the difference.
 CASES = {
-    "LL_MAIN": ("N", 2, 0),
-    "LL_MIRROR": ("0", 1, 0),
-    "LR_LEFT": ("0", 2, 0),
-    "LR_ZN": ("0", 2, 0),
-    "LR_ZN1": ("0", 2, 1),
-    "UL_TOP": ("N", 1, 0),
-    "UL_ZN": ("N", 1, 0),
-    "UL_ZN1": ("N", 1, 1),
+    "LL_MAIN": ("N", 2, 0, ("lock_y_main", "lock_x_main")),
+    "LL_MIRROR": ("0", 1, 0, ("lock_y_mirror", "lock_x_mirror")),
+    "LR_LEFT": ("0", 2, 0, ("plus_sent", "lock_x_lr")),
+    "LR_ZN": ("0", 2, 0, ("plus_sent", "lock_x_lr")),
+    "LR_ZN1": ("0", 2, 1, ("plus_sent", "lock_x_lr")),
+    "UL_TOP": ("N", 1, 0, ("lock_y_ul", "minus_sent")),
+    "UL_ZN": ("N", 1, 0, ("lock_y_ul", "minus_sent")),
+    "UL_ZN1": ("N", 1, 1, ("lock_y_ul", "minus_sent")),
 }
+# In UR both clocks exceed N, so a reset of one leaves the other beyond N.
+UR_RESETS = ("plus_sent", "minus_sent")
 
 
 def _traverse_ops(case: str, gen: tuple):
     """Restoring check that the forced full-cell dwell lies in the progression."""
     a, b_period = gen
-    bound, descents, extra = CASES[case]
+    bound, descents, extra, _ = CASES[case]
     lift = a + 2 + extra
     if bound == "N":
         return _restore(_plus(lift) + [_MINUS_N] * descents, _bound_test("N", "<=", b_period))
@@ -444,7 +425,7 @@ def _exist_ops(case: str, gen: tuple):
     """Restoring check that the progression meets the cell's dwell range."""
     if case == "UR":
         return []
-    bound, descents, extra = CASES[case]
+    bound, descents, extra, _ = CASES[case]
     lift = gen[0] + 2 + extra
     if bound == "N":
         return _restore(_plus(lift) + [_MINUS_N] * descents, [CmpParam("<=", PARAM)])
@@ -486,27 +467,19 @@ LOCKS = {
     ),
 }
 
-# Reset inside an open cell, per case family (the LR_* and UL_* cases share
-# one row each) and reset key: a lock style, or the action applied after an
-# existence check.  A lock on y enters YMID, a lock on x enters XMID.
-_CELL_RESET_STYLE = {
-    "LL_MAIN": {"y": "lock_y_main", "x": "lock_x_main", "xy": "zero"},
-    "LL_MIRROR": {"y": "lock_y_mirror", "x": "lock_x_mirror", "xy": "zero"},
-    "LR": {"y": "plus_sent", "x": "lock_x_lr", "xy": "zero"},
-    "UL": {"y": "lock_y_ul", "x": "minus_sent", "xy": "zero"},
-    "UR": {"y": "plus_sent", "x": "minus_sent", "xy": "zero"},
-}
-
 
 def _reset(kappa, region, case, rk):
-    """(style, action, target class) of a reset by key rk at an anchor."""
+    """(style, action, target class) of a reset by key rk at an anchor.  A
+    lock on y enters YMID, a lock on x enters XMID."""
     if case is None:
-        action = POINT_RESET_ACTIONS[region][rk]
-        return "point", action, ACTION_TARGET_KAPPA.get(action, kappa)
-    entry = _CELL_RESET_STYLE[case if case.startswith("LL_") else case[:2]][rk]
-    if entry in LOCKS:
-        return entry, None, "YMID" if rk == "y" else "XMID"
-    return "ur" if case == "UR" else "exist_then", entry, ACTION_TARGET_KAPPA[entry]
+        style, action = "point", POINT_RESET_ACTIONS[region][rk]
+    else:
+        y, x = CASES[case][3] if case in CASES else UR_RESETS
+        action = {"y": y, "x": x}.get(rk, "zero")
+        if action in LOCKS:
+            return action, None, "YMID" if rk == "y" else "XMID"
+        style = "ur" if case == "UR" else "exist_then"
+    return style, action, _ACTIONS[action][0] or kappa
 
 
 def _dwell_keys(gen):
@@ -526,22 +499,23 @@ _COLLAPSE = {
     "XMID": _loop(+1, 1, _zcond_ops("z=0")),
 }
 
-# Reset action -> (collapses first, ops realizing the new difference).
+# Reset action -> (new class, None if it keeps the class; collapses first;
+# ops realizing the new difference).
 _ACTIONS = {
-    "noop": (False, []),
-    "add_p": (False, [_PLUS_N]),
-    "sub_p": (False, [_MINUS_N]),
-    "zero": (True, []),
-    "plus_n": (True, [_PLUS_N]),
-    "minus_n": (True, [_MINUS_N]),
-    "plus_sent": (True, [_PLUS_N, AddConst(1)]),
-    "minus_sent": (True, [_MINUS_N, AddConst(-1)]),
+    "noop": (None, False, []),
+    "add_p": ("YMID", False, [_PLUS_N]),
+    "sub_p": ("XMID", False, [_MINUS_N]),
+    "zero": ("Z0", True, []),
+    "plus_n": ("YN", True, [_PLUS_N]),
+    "minus_n": ("XN", True, [_MINUS_N]),
+    "plus_sent": ("YHI", True, [_PLUS_N, AddConst(1)]),
+    "minus_sent": ("XHI", True, [_MINUS_N, AddConst(-1)]),
 }
 
 
 def _action_ops(kappa: str, action: str):
     """Counter ops realizing a reset to a known new difference."""
-    collapse, ops = _ACTIONS[action]
+    _, collapse, ops = _ACTIONS[action]
     return (_COLLAPSE[kappa] if collapse else []) + ops
 
 
@@ -607,7 +581,7 @@ class _Builder:
         the first accepting final is kept.
         """
         region = CHAINS[kappa][slot]
-        case = CELL_CASE.get((kappa, region))
+        case = _case(kappa, region)
         if case is None:
             closure = reachable([u], self.tables[region]["eps"].__getitem__)
             reach = lambda v: (None,) if v in closure else ()
@@ -617,7 +591,7 @@ class _Builder:
             reach = lambda v: self.tables.gens(region, u, v)
         checked = case in CASES  # the gadget checks the dwell
         out = []
-        for nxt_slot, cond in CROSSINGS.get((kappa, slot), ()):
+        for nxt_slot, cond in _crossings(kappa, slot):
             for ridx, rule in self.tables[CHAINS[kappa][nxt_slot]]["times"]:
                 for gen in reach(rule.src):
                     out.append({
@@ -646,7 +620,7 @@ class _Builder:
         """The event's gadget from anchor src; its first rule carries the
         event (never a residue marker: each gadget opens with a move)."""
         kappa, slot, u = key
-        case = CELL_CASE.get((kappa, CHAINS[kappa][slot]))
+        case = _case(kappa, CHAINS[kappa][slot])
         gen = ev.get("gen")
         target = self.acc if ev["type"] == "accept" else anchor(ev["next"])
         if ev.get("style") in LOCKS:
@@ -679,11 +653,7 @@ class _Builder:
 
 
 def _reset_key(resets, clock_x, clock_y) -> str:
-    has_x = clock_x in resets
-    has_y = clock_y in resets
-    if has_x and has_y:
-        return "xy"
-    return "x" if has_x else "y"
+    return "x" * (clock_x in resets) + "y" * (clock_y in resets)
 
 
 def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:

@@ -324,15 +324,20 @@ def _saturate(vals: dict, cap: int) -> tuple:
     return tuple(sorted((c, min(v, cap)) for c, v in vals.items()))
 
 
-def _oracle(a, n: int, clock_cap: int, successors) -> Optional[Run]:
+def _clock_cap(a, n: int, clock_cap: Optional[int]) -> int:
+    """clock_cap, or the least sound cap max(n, max consts) + 1 when it is None."""
+    needed = max(n, max(a.consts(), default=0)) + 1
+    if clock_cap is not None and clock_cap < needed:
+        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
+    return needed if clock_cap is None else clock_cap
+
+
+def _oracle(a, n: int, successors) -> Optional[Run]:
     """Search a PTA or 0/1-PTA from the zero valuation to a final state, then replay.
 
     successors(node) yields (label, saturated node) pairs; the labels of a
     shortest accepting path are replayed under exact semantics.
     """
-    needed = max(n, max(a.consts(), default=0)) + 1
-    if clock_cap < needed:
-        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
     start = initial_configuration(a)
     found = shortest_path(
         (start.state, start.valuation), successors, lambda node: node[0] in a.finals
@@ -356,15 +361,17 @@ def _guard_window(cmp: str, rhs: int, value: int, cap: int) -> tuple:
     return lo, cap if greatest is None else min(d + greatest, cap)
 
 
-def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
+def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: Optional[int] = None) -> Optional[Run]:
     """BFS reachability for a PTA at parameter value n.
 
     Clock values saturate at clock_cap during the search; the returned run is
     replayed under exact semantics, which is sound because no guard can
     distinguish values >= clock_cap when clock_cap > max(n, max consts).
+    The cap defaults to the least sound one.
     Each rule tries only its guard window, in ascending order, up to the delay
     that saturates every clock it keeps: later delays repeat that successor.
     """
+    clock_cap = _clock_cap(pta, n, clock_cap)
     clocks = sorted(pta.clocks)  # the positions of a node's valuation tuple
     rows = {}  # source -> [(rule index, dst, guard clock position, cmp, rhs at n, kept positions)]
     for ridx, rule in enumerate(pta.rules):
@@ -383,7 +390,7 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: int) -> Optional[Run]:
                              for i, (c, v) in enumerate(vals)])
                 yield (ridx, delay), (dst, sat)
 
-    return _oracle(pta, n, clock_cap, successors)
+    return _oracle(pta, n, successors)
 
 
 def zero_one_successors(
@@ -412,8 +419,12 @@ def zero_one_successors(
                 yield (offset + j, i), rule.dst, advanced
 
 
-def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional[Run]:
-    """BFS reachability for a 0/1-PTA with clock saturation at clock_cap."""
+def zero_one_reach_bruteforce(
+    b: ZeroOnePTA, n: int, clock_cap: Optional[int] = None
+) -> Optional[Run]:
+    """BFS reachability for a 0/1-PTA with clock saturation at clock_cap,
+    by default the least sound cap."""
+    clock_cap = _clock_cap(b, n, clock_cap)
 
     # Guards read the unsaturated value, at most clock_cap + 1: no guard
     # constant reaches clock_cap, so that agrees with the saturated one.
@@ -421,7 +432,7 @@ def zero_one_reach_bruteforce(b: ZeroOnePTA, n: int, clock_cap: int) -> Optional
         for label, dst, vals in zero_one_successors(b, n, node):
             yield label, (dst, _saturate(vals, clock_cap))
 
-    return _oracle(b, n, clock_cap, successors)
+    return _oracle(b, n, successors)
 
 
 def zero_one_reach_configs(

@@ -4,8 +4,8 @@ Canonical form: object keys in the order written below, states/clocks/params
 sorted, rules in the automaton's own tuple order (rules0 before rules1 for
 0/1-PTAs), so the rule indices in witness labels survive a round trip.  The
 parser rejects unknown comparison symbols and unknown operation kinds, a
-name set that is not a JSON list, and a missing key, naming the key and the
-object it is missing from.
+name set that is not a JSON list, a bool or a float where an integer is due,
+and a missing key, naming the key and the object it is missing from.
 """
 
 from __future__ import annotations
@@ -32,11 +32,15 @@ from .semantics import PocaConfiguration, PtaConfiguration, Run
 Automaton = Union[PTA, ZeroOnePTA, POCA]
 
 
-def _field(obj, key: str, what: str):
-    """obj[key] of the JSON object that `what` names."""
+def _object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
-    if key not in obj:
+    return obj
+
+
+def _field(obj, key: str, what: str):
+    """obj[key] of the JSON object that `what` names."""
+    if key not in _object(obj, what):
         raise ValueError(f"{what} has no {key!r} key")
     return obj[key]
 
@@ -73,26 +77,35 @@ def op_to_obj(op) -> dict:
     raise ValueError(f"unknown counter operation: {op!r}")
 
 
-def _int_field(obj: dict, key: str) -> int:
-    value = _field(obj, key, "operation")
+def _int(value, what: str) -> int:
+    """value, which must be a plain integer: a bool or a float is none."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"operation {key} must be an integer: {value!r}")
+        raise ValueError(f"{what} must be an integer: {value!r}")
     return value
+
+
+def _int_field(obj, key: str, what: str) -> int:
+    """The integer obj[key] of the JSON object that `what` names."""
+    return _int(_field(obj, key, what), f"{what} {key!r}")
+
+
+def _op_int(obj: dict, key: str) -> int:
+    return _int(_field(obj, key, "operation"), f"operation {key}")
 
 
 def op_from_obj(obj: dict):
     kind = _field(obj, "kind", "operation")
     if kind == "add":
-        return AddConst(_int_field(obj, "value"))
+        return AddConst(_op_int(obj, "value"))
     if kind == "addp":
-        return AddParam(_int_field(obj, "sign"), _field(obj, "param", "operation"))
+        return AddParam(_op_int(obj, "sign"), _field(obj, "param", "operation"))
     if kind == "mod":
-        return ModTest(_int_field(obj, "value"))
+        return ModTest(_op_int(obj, "value"))
     if kind == "cmp":
         cmp = normalize_cmp(_field(obj, "cmp", "operation"))
         if isinstance(_field(obj, "rhs", "operation"), str):
             return CmpParam(cmp, obj["rhs"])
-        return CmpConst(cmp, _int_field(obj, "rhs"))
+        return CmpConst(cmp, _op_int(obj, "rhs"))
     raise ValueError(f"unknown operation kind: {kind!r}")
 
 
@@ -154,13 +167,10 @@ def automaton_from_obj(obj: dict) -> Automaton:
         guard = guard_from_obj(_field(r, "guard", what))
         resets = _name_set(r.get("resets", []), f"{what} 'resets'")
         rule = PtaRule(src, guard, resets, dst)
-        time = r.get("time") if kind == "zero-one-pta" else 0
-        if time == 0:
-            rules0.append(rule)
-        elif time == 1:
-            rules1.append(rule)
-        else:
+        time = _int_field(r, "time", what) if kind == "zero-one-pta" else 0
+        if time not in (0, 1):
             raise ValueError(f"0/1-PTA rule needs time 0 or 1: {r!r}")
+        (rules1 if time else rules0).append(rule)
     end = (_field(obj, "initial", "automaton"), names("finals"))
     if kind == "poca":
         return POCA(names("states"), names("params"), tuple(rules0), *end)
@@ -216,13 +226,15 @@ def run_from_obj(obj: dict) -> Run:
         what = f"run step {i}"
         state = _field(entry, "state", what)
         if kind == "poca":
-            configs.append(PocaConfiguration(state, _field(entry, "counter", what)))
+            configs.append(PocaConfiguration(state, _int_field(entry, "counter", what)))
         else:
-            configs.append(PtaConfiguration.make(state, _field(entry, "valuation", what)))
+            clocks = _object(_field(entry, "valuation", what), f"{what} 'valuation'")
+            valuation = {c: _int_field(clocks, c, f"{what} valuation") for c in clocks}
+            configs.append(PtaConfiguration.make(state, valuation))
         label = entry.get("label")
         if label is not None:
-            rule = _field(label, "rule", f"{what} label")
+            rule = _int_field(label, "rule", f"{what} label")
             if second is not None:
-                rule = (rule, _field(label, second, f"{what} label"))
+                rule = (rule, _int_field(label, second, f"{what} label"))
             labels.append(rule)
     return Run(kind, tuple(configs), tuple(labels))

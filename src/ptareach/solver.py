@@ -85,9 +85,8 @@ def decide(pta: PTA, n_max: int, mode: str = "via-poca", budget: int = 200_000) 
     size = poca.size()
     qual, threshold = _completeness(n_max, size, derive_constants(poca).m)
     if mode == "direct":
-        c_max = max(pta.consts(), default=0)
         for n in range(n_max + 1):
-            run = pta_reach_bruteforce(pta, n, max(n, c_max) + 1)
+            run = pta_reach_bruteforce(pta, n)
             if run is not None:
                 return Verdict(True, n, mode, n_max, qual, threshold, witness=run)
         return Verdict(False, None, mode, n_max, qual, threshold)
@@ -121,11 +120,10 @@ def cross_check(pta: PTA, n_max: int, budget: int = 200_000) -> CrossCheckReport
     result = _build(pta, budget)
     poca = result.poca
     size = poca.size()
-    c_max = max(pta.consts(), default=0)
     rows = []
     first = None
     for n in range(n_max + 1):
-        direct = pta_reach_bruteforce(pta, n, max(n, c_max) + 1) is not None
+        direct = pta_reach_bruteforce(pta, n) is not None
         via = poca_reach_bounded(poca, n, 0, 4 * max(n, size)) is not None
         rows.append({"n": n, "direct": direct, "via_poca": via})
         if direct != via and first is None:

@@ -435,6 +435,35 @@ def test_parse_rejects_non_integral_operations(tmp_path, capsys, op):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_fractional_delay(tmp_path, capsys):
+    # Unreachable for every N: a is entered with x > 0, so x >= 1 in integer
+    # time, and f needs x < 1.  A run with delay 0.5 would replay, so the
+    # parser refuses it.
+    guard = lambda clock, cmp, rhs: {"clock": clock, "cmp": cmp, "rhs": rhs}
+    pta = {
+        "kind": "pta", "states": ["a", "f", "q"], "clocks": ["x", "y"], "params": ["p"],
+        "rules": [
+            {"from": "q", "guard": guard("x", "<=", "p"), "resets": ["y"], "to": "q"},
+            {"from": "q", "guard": guard("x", ">", 0), "resets": ["y"], "to": "a"},
+            {"from": "a", "guard": guard("x", "<", 1), "resets": [], "to": "f"},
+            {"from": "f", "guard": guard("y", "<=", "p"), "resets": [], "to": "f"},
+        ],
+        "initial": "q", "finals": ["f"],
+    }
+    run = {"kind": "pta", "steps": [
+        {"state": "q", "valuation": {"x": 0, "y": 0}, "label": {"rule": 1, "delay": 0.5}},
+        {"state": "a", "valuation": {"x": 0.5, "y": 0}, "label": {"rule": 2, "delay": 0}},
+        {"state": "f", "valuation": {"x": 0.5, "y": 0}, "label": None},
+    ]}
+    (tmp_path / "pta.json").write_text(json.dumps(pta))
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert main(["solve", "--pta", str(tmp_path / "pta.json"), "--max-n", "3"]) == 1
+    capsys.readouterr()
+    argv = ["validate", "--run", str(tmp_path / "run.json"), "--automaton", str(tmp_path / "pta.json")]
+    assert main(argv + ["--param", "3"]) == 2
+    assert "run step 0 label 'delay' must be an integer: 0.5" in capsys.readouterr().err
+
+
 def _first_rule(obj, **fields):
     """obj with its rules replaced by its first rule, fields set (None drops one)."""
     rule = {**obj["rules"][0], **fields}

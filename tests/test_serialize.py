@@ -132,6 +132,42 @@ def test_operation_numbers_must_be_integers():
     assert serialize.op_from_obj({"kind": "cmp", "cmp": "=", "rhs": 2}) == CmpConst("=", 2)
 
 
+def _interchange_obj(kind):
+    """A parsed-back JSON object of each kind the integer checks cover."""
+    even = fixture_corpus()[0].pta
+    if kind == "zero-one-pta":
+        return serialize.automaton_to_obj(to_zero_one_pta(even))
+    run = poca_reach_bounded(poca_mod6_fixture(), 5, -10, 40) if kind == "poca-run" else (
+        pta_reach_bruteforce(even, 2)
+    )
+    return serialize.run_to_obj(run)
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("pta-run", ("steps", 0, "label", "delay"), 0.5, "run step 0 label 'delay' must be an integer: 0.5"),
+    ("pta-run", ("steps", 0, "label", "rule"), True, "run step 0 label 'rule' must be an integer: True"),
+    ("pta-run", ("steps", 1, "valuation", "y"), 2.0, "run step 1 valuation 'y' must be an integer: 2.0"),
+    ("poca-run", ("steps", 1, "counter"), False, "run step 1 'counter' must be an integer: False"),
+    ("poca-run", ("steps", 1, "counter"), 5.0, "run step 1 'counter' must be an integer: 5.0"),
+    ("poca-run", ("steps", 0, "label", "rule"), 0.0, "run step 0 label 'rule' must be an integer: 0.0"),
+    ("zero-one-pta", ("rules", -1, "time"), True, "'time' must be an integer: True"),
+], ids=["delay", "bool-rule", "clock", "bool-counter", "float-counter", "float-rule", "time"])
+def test_interchange_numbers_must_be_integers(kind, path, value, message):
+    # A fractional delay or a bool would pass the replay, which is not the
+    # integer semantics the solver decides.
+    obj = _interchange_obj(kind)
+    parse = serialize.automaton_from_obj if kind == "zero-one-pta" else serialize.run_from_obj
+    parse(obj)
+    *keys, last = path
+    entry = obj
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(ValueError) as exc:
+        parse(obj)
+    assert message in str(exc.value)
+
+
 def test_run_round_trips():
     fx = fixture_corpus()[0]
     run = pta_reach_bruteforce(fx.pta, 2, 3)
