@@ -138,25 +138,18 @@ def _clock_step(rule: PtaRule, n: int, valuation: tuple, delay: int) -> Optional
     return advanced
 
 
-def _clock_config_step(a, n: int, conf: PtaConfiguration, rule: PtaRule, delay: int):
-    """The clock step of a PTA or 0/1-PTA from a configuration; None on guard violation."""
-    if rule.src != conf.state:
-        raise ValueError("rule source does not match the configuration")
-    if {c for c, _ in conf.valuation} != a.clocks:
-        raise ValueError("valuation must be total over the clock set")
-    vals = _clock_step(rule, n, conf.valuation, delay)
-    return None if vals is None else PtaConfiguration.make(rule.dst, vals)
+def _rule_index(automaton, rule) -> int:
+    try:
+        return automaton.rules.index(rule)
+    except ValueError:
+        raise ValueError("rule does not belong to the automaton") from None
 
 
 def pta_step(
     pta: PTA, n: int, conf: PtaConfiguration, rule: PtaRule, delay: int
 ) -> Optional[PtaConfiguration]:
     """One PTA step; None on guard violation, ValueError on malformed input."""
-    if rule not in pta.rules:
-        raise ValueError("rule does not belong to the automaton")
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    return _clock_config_step(pta, n, conf, rule, delay)
+    return _label_step(pta, n)(conf, (_rule_index(pta, rule), delay))
 
 
 def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[int]:
@@ -178,62 +171,54 @@ def apply_op(op, n: int, z: int, enforce_comparisons: bool = True) -> Optional[i
     raise ValueError(f"unknown counter operation: {op!r}")
 
 
-def _counter_step(
-    n: int, conf: PocaConfiguration, rule: PocaRule, enforce_comparisons: bool
-) -> Optional[PocaConfiguration]:
-    if rule.src != conf.state:
-        raise ValueError("rule source does not match the configuration")
-    z = apply_op(rule.op, n, conf.counter, enforce_comparisons)
-    return None if z is None else PocaConfiguration(rule.dst, z)
-
-
 def poca_step(
     poca: POCA, n: int, conf: PocaConfiguration, rule: PocaRule
 ) -> Optional[PocaConfiguration]:
     """One POCA transition; None on test violation."""
-    if rule not in poca.rules:
-        raise ValueError("rule does not belong to the automaton")
-    return _counter_step(n, conf, rule, True)
+    return _label_step(poca, n)(conf, _rule_index(poca, rule))
 
 
 def semitransition_step(
     poca: POCA, n: int, conf: PocaConfiguration, rule: PocaRule
 ) -> Optional[PocaConfiguration]:
     """Like poca_step but comparison tests always pass; modulo still enforced."""
-    if rule not in poca.rules:
-        raise ValueError("rule does not belong to the automaton")
-    return _counter_step(n, conf, rule, False)
+    return _label_step(poca, n, False)(conf, _rule_index(poca, rule))
 
 
 def _label_step(automaton, n: int, enforce_comparisons: bool = True):
     """The exact step of one run label: step(conf, label) -> next conf or None.
 
     The label names its rule by index into the automaton's rule tuple
-    (``rules0 + rules1`` for a 0/1-PTA).  ValueError for an index outside
-    that tuple, a negative delay, a 0/1 time bit naming the other rule set,
-    or a rule that does not leave the configuration's state.
+    (``rules0 + rules1`` for a 0/1-PTA).  ValueError for an index, delay or
+    time bit that is not a plain int, an index outside that tuple, a
+    negative delay, a 0/1 time bit naming the other rule set, a rule that
+    does not leave the configuration's state, or a valuation that is not
+    total over the clocks.
     """
+    poca = isinstance(automaton, POCA)
     zero_one = isinstance(automaton, ZeroOnePTA)
     rules = automaton.rules0 + automaton.rules1 if zero_one else automaton.rules
-    outside = "rule index {} outside 0..{}"
-
-    if isinstance(automaton, POCA):
-        def step(conf, idx):
-            if not 0 <= idx < len(rules):
-                raise ValueError(outside.format(idx, len(rules) - 1))
-            return _counter_step(n, conf, rules[idx], enforce_comparisons)
-
-        return step
 
     def step(conf, label):
-        idx, delay = label
+        idx, delay = (label, 0) if poca else label
+        if type(idx) is not int or type(delay) is not int:
+            raise ValueError(f"label value {delay if type(idx) is int else idx!r} is not an int")
         if not 0 <= idx < len(rules):
-            raise ValueError(outside.format(idx, len(rules) - 1))
+            raise ValueError(f"rule index {idx} outside 0..{len(rules) - 1}")
+        rule = rules[idx]
+        if rule.src != conf.state:
+            raise ValueError("rule source does not match the configuration")
+        if poca:
+            z = apply_op(rule.op, n, conf.counter, enforce_comparisons)
+            return None if z is None else PocaConfiguration(rule.dst, z)
         if delay < 0:
             raise ValueError("delay must be non-negative")
         if zero_one and delay != (0 if idx < len(automaton.rules0) else 1):
             raise ValueError(f"time bit {delay} does not match the rule set of rule {idx}")
-        return _clock_config_step(automaton, n, conf, rules[idx], delay)
+        if {c for c, _ in conf.valuation} != automaton.clocks:
+            raise ValueError("valuation must be total over the clock set")
+        vals = _clock_step(rule, n, conf.valuation, delay)
+        return None if vals is None else PtaConfiguration.make(rule.dst, vals)
 
     return step
 
@@ -320,31 +305,6 @@ def reachable(seeds, successors) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _saturate(vals: dict, cap: int) -> tuple:
-    return tuple(sorted((c, min(v, cap)) for c, v in vals.items()))
-
-
-def _clock_cap(a, n: int, clock_cap: Optional[int]) -> int:
-    """clock_cap, or the least sound cap max(n, max consts) + 1 when it is None."""
-    needed = max(n, max(a.consts(), default=0)) + 1
-    if clock_cap is not None and clock_cap < needed:
-        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
-    return needed if clock_cap is None else clock_cap
-
-
-def _oracle(a, n: int, successors) -> Optional[Run]:
-    """Search a PTA or 0/1-PTA from the zero valuation to a final state, then replay.
-
-    successors(node) yields (label, saturated node) pairs; the labels of a
-    shortest accepting path are replayed under exact semantics.
-    """
-    start = initial_configuration(a)
-    found = shortest_path(
-        (start.state, start.valuation), successors, lambda node: node[0] in a.finals
-    )
-    return None if found is None else _replay(a, n, start, found[1])
-
-
 # For ``x cmp rhs``: the least and the greatest x - rhs admitted, None where unbounded.
 _CMP_OFFSETS = {"<": (None, -1), "<=": (None, 0), "=": (0, 0), ">=": (0, None), ">": (1, None)}
 
@@ -361,6 +321,55 @@ def _guard_window(cmp: str, rhs: int, value: int, cap: int) -> tuple:
     return lo, cap if greatest is None else min(d + greatest, cap)
 
 
+def _oracle(a, n: int, clock_cap: Optional[int], rules) -> Optional[Run]:
+    """Search a PTA or 0/1-PTA from the zero valuation to a final state, then replay.
+
+    rules lists (rule, fixed delay or None); a step's label is (index into
+    rules, delay).  Clock values saturate at clock_cap, by default the
+    least sound cap max(n, max consts) + 1; the labels of a shortest
+    accepting path are replayed under exact semantics.  Each rule tries
+    only its guard window, cut to its fixed delay, in ascending order, up
+    to the delay that saturates every clock it keeps: later delays repeat
+    that successor.
+    """
+    needed = max(n, max(a.consts(), default=0)) + 1
+    if clock_cap is not None and clock_cap < needed:
+        raise ValueError(f"clock_cap {clock_cap} below required {needed}")
+    cap = needed if clock_cap is None else clock_cap
+    clocks = sorted(a.clocks)  # the positions of a node's valuation tuple
+    rows = {}  # source -> [(index, fixed delay, dst, guard clock position, cmp, rhs at n, kept)]
+
+    def row(state):
+        """The state's rules as rows in index order, built when the search first expands it."""
+        out = rows[state] = []
+        for ridx, (rule, fixed) in enumerate(rules):
+            if rule.src != state:
+                continue
+            g = rule.guard
+            kept = tuple(i for i, c in enumerate(clocks) if c not in rule.resets)
+            rhs = n if g.parametric else g.rhs
+            out.append((ridx, fixed, rule.dst, clocks.index(g.clock), g.cmp, rhs, kept))
+        return out
+
+    def successors(node):
+        state, vals = node
+        for ridx, fixed, dst, g, cmp, rhs, kept in rows[state] if state in rows else row(state):
+            lo, hi = _guard_window(cmp, rhs, vals[g][1], cap)
+            if fixed is not None:
+                lo, hi = max(lo, fixed), min(hi, fixed)
+            last = cap - min(vals[i][1] for i in kept) if kept else lo
+            for delay in range(lo, min(hi, max(lo, last)) + 1):
+                sat = tuple([(c, min(v + delay, cap) if i in kept else 0)
+                             for i, (c, v) in enumerate(vals)])
+                yield (ridx, delay), (dst, sat)
+
+    start = initial_configuration(a)
+    found = shortest_path(
+        (start.state, start.valuation), successors, lambda node: node[0] in a.finals
+    )
+    return None if found is None else _replay(a, n, start, found[1])
+
+
 def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: Optional[int] = None) -> Optional[Run]:
     """BFS reachability for a PTA at parameter value n.
 
@@ -368,36 +377,24 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: Optional[int] = None) -> O
     replayed under exact semantics, which is sound because no guard can
     distinguish values >= clock_cap when clock_cap > max(n, max consts).
     The cap defaults to the least sound one.
-    Each rule tries only its guard window, in ascending order, up to the delay
-    that saturates every clock it keeps: later delays repeat that successor.
     """
-    clock_cap = _clock_cap(pta, n, clock_cap)
-    clocks = sorted(pta.clocks)  # the positions of a node's valuation tuple
-    rows = {}  # source -> [(rule index, dst, guard clock position, cmp, rhs at n, kept positions)]
-    for ridx, rule in enumerate(pta.rules):
-        g = rule.guard
-        kept = tuple(i for i, c in enumerate(clocks) if c not in rule.resets)
-        row = (ridx, rule.dst, clocks.index(g.clock), g.cmp, n if g.parametric else g.rhs, kept)
-        rows.setdefault(rule.src, []).append(row)
+    return _oracle(pta, n, clock_cap, [(rule, None) for rule in pta.rules])
 
-    def successors(node):
-        state, vals = node
-        for ridx, dst, g, cmp, rhs, kept in rows.get(state, ()):
-            lo, hi = _guard_window(cmp, rhs, vals[g][1], clock_cap)
-            last = clock_cap - min(vals[i][1] for i in kept) if kept else lo
-            for delay in range(lo, min(hi, max(lo, last)) + 1):
-                sat = tuple([(c, min(v + delay, clock_cap) if i in kept else 0)
-                             for i, (c, v) in enumerate(vals)])
-                yield (ridx, delay), (dst, sat)
 
-    return _oracle(pta, n, successors)
+def zero_one_reach_bruteforce(
+    b: ZeroOnePTA, n: int, clock_cap: Optional[int] = None
+) -> Optional[Run]:
+    """BFS reachability for a 0/1-PTA with clock saturation at clock_cap,
+    by default the least sound cap: the PTA oracle with each rule's delay
+    fixed to its time bit."""
+    return _oracle(b, n, clock_cap, [(r, 0) for r in b.rules0] + [(r, 1) for r in b.rules1])
 
 
 def zero_one_successors(
     b: ZeroOnePTA,
     n: int,
     node: tuple,
-    coord_cap: Optional[int] = None,
+    coord_cap: int,
     rule_filter: Optional[Callable[[PtaRule], bool]] = None,
 ):
     """Enabled 0/1-PTA steps from node = (state, sorted valuation tuple).
@@ -409,7 +406,7 @@ def zero_one_successors(
     """
     state, vals = node
     for i, offset in ((0, 0), (1, len(b.rules0))):
-        if coord_cap is not None and max((v + i for _, v in vals), default=0) > coord_cap:
+        if max((v + i for _, v in vals), default=0) > coord_cap:
             continue
         for j, rule in enumerate(b.rules(i)):
             if rule.src != state or (rule_filter is not None and not rule_filter(rule)):
@@ -417,22 +414,6 @@ def zero_one_successors(
             advanced = _clock_step(rule, n, vals, i)
             if advanced is not None:
                 yield (offset + j, i), rule.dst, advanced
-
-
-def zero_one_reach_bruteforce(
-    b: ZeroOnePTA, n: int, clock_cap: Optional[int] = None
-) -> Optional[Run]:
-    """BFS reachability for a 0/1-PTA with clock saturation at clock_cap,
-    by default the least sound cap."""
-    clock_cap = _clock_cap(b, n, clock_cap)
-
-    # Guards read the unsaturated value, at most clock_cap + 1: no guard
-    # constant reaches clock_cap, so that agrees with the saturated one.
-    def successors(node):
-        for label, dst, vals in zero_one_successors(b, n, node):
-            yield label, (dst, _saturate(vals, clock_cap))
-
-    return _oracle(b, n, successors)
 
 
 def zero_one_reach_configs(

@@ -215,7 +215,8 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     ok, step = semirun.validate()
     if not ok:
         raise SemirunError(f"depump needs a semirun; step {step} is not a semitransition")
-    if consts.gamma != lcm_range(k) * consts.z:
+    big_lcm = lcm_range(k)
+    if consts.gamma != big_lcm * consts.z:
         raise SemirunError("constants inconsistent: Gamma != LCM(K) * Z")
     word = phi(semirun)
     if not in_lambda(word, 8):
@@ -246,7 +247,7 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
         if pot[i] - pot[start] > threshold:
             windows.append((start, i))
             start = i
-    needed = k * lcm_range(k)
+    needed = k * big_lcm
     if len(windows) < needed:
         raise DepumpError(
             f"found {len(windows)} windows with potential gain > {threshold}, "
@@ -275,7 +276,6 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
             s, t, d = found
             pairs_by_d.setdefault(d, []).append((s, t))
 
-    big_lcm = lcm_range(k)
     chosen = None
     for d in sorted(pairs_by_d):
         if len(pairs_by_d[d]) >= big_lcm // d:

@@ -22,6 +22,7 @@ from ptareach.automata import (
     ZeroOnePTA,
 )
 from ptareach.fixtures import (
+    crt_pta,
     fixture_by_name,
     fixture_corpus,
     poca_mod6_fixture,
@@ -271,6 +272,39 @@ class TestValidateRun:
         assert validate_run(Run("poca", configs, (0, 0)), c, 0) == (True, None)
         assert validate_run(Run("poca", configs, (0, 1)), c, 0) == (False, 1)
 
+    @staticmethod
+    def _half_unit_pta():
+        # f is reached only if rule 1 fires at some 0 < x < 1.
+        rules = (
+            PtaRule("q", Guard("x", "<=", "p"), frozenset({"y"}), "q"),
+            PtaRule("q", Guard("x", ">", 0), frozenset({"y"}), "a"),
+            PtaRule("a", Guard("x", "<", 1), frozenset(), "f"),
+            PtaRule("f", Guard("y", "<=", "p"), frozenset(), "f"),
+        )
+        return _pta({"q", "a", "f"}, {"x", "y"}, {"p"}, rules, "q", {"f"})
+
+    def test_fractional_delay_rejected(self):
+        pta = self._half_unit_pta()
+        configs = (_conf("q", x=0, y=0), _conf("a", x=0.5, y=0), _conf("f", x=0.5, y=0))
+        assert validate_run(Run("pta", configs, ((1, 0.5), (2, 0))), pta, 3) == (False, 0)
+        assert pta_reach_bruteforce(pta, 3) is None
+        with pytest.raises(ValueError, match="0.5"):
+            pta_step(pta, 3, configs[0], pta.rules[1], 0.5)
+
+    def test_labels_must_be_plain_ints(self):
+        rules = (PocaRule("q", AddConst(-1), "q"), PocaRule("q", AddConst(1), "q"))
+        c = POCA(frozenset({"q"}), frozenset(), rules, "q", frozenset({"q"}))
+        configs = (PocaConfiguration("q", 0), PocaConfiguration("q", 1))
+        assert validate_run(Run("poca", configs, (1,)), c, 0) == (True, None)
+        for label in (True, 1.0):
+            assert validate_run(Run("poca", configs, (label,)), c, 0) == (False, 0)
+        pta = fixture_by_name("even").pta
+        run = pta_reach_bruteforce(pta, 2, 3)
+        (idx, delay), *rest = run.labels
+        for first in ((float(idx), delay), (idx, float(delay)), (idx, delay == 1)):
+            bad = Run("pta", run.configs, (first, *rest))
+            assert validate_run(bad, pta, 2) == (False, 0), first
+
     def test_zero_one_time_bit_names_its_rule_set(self):
         # One resetting rule in both rule sets: either time bit reaches the
         # same configuration, so only the index tells the label apart.
@@ -279,7 +313,8 @@ class TestValidateRun:
                        frozenset())
         configs = (_conf("q", x=0), _conf("q", x=0))
         for label, verdict in (((0, 0), (True, None)), ((1, 1), (True, None)),
-                               ((0, 1), (False, 0)), ((1, 0), (False, 0))):
+                               ((0, 1), (False, 0)), ((1, 0), (False, 0)),
+                               ((1, True), (False, 0)), ((0, False), (False, 0))):
             assert validate_run(Run("zero-one-pta", configs, (label,)), b, 0) == verdict
 
     def test_rule_must_leave_the_configuration_state(self):
@@ -684,7 +719,8 @@ class TestGuardWindow:
                 for delay in range(cap + 1):
                     advanced = semantics._clock_step(rule, n, vals, delay)
                     if advanced is not None:
-                        yield (ridx, delay), (rule.dst, semantics._saturate(advanced, cap))
+                        sat = tuple(sorted((c, min(v, cap)) for c, v in advanced.items()))
+                        yield (ridx, delay), (rule.dst, sat)
 
         start = PtaConfiguration.make(pta.initial, {c: 0 for c in pta.clocks})
         found = shortest_path(
@@ -726,5 +762,36 @@ class TestGuardWindow:
                 for cap in (need, need + 3):
                     run = pta_reach_bruteforce(pta, n, cap)
                     assert run == self._per_delay_oracle(pta, n, cap), (pta, n, cap)
+                    hits += run is not None
+        assert hits
+
+    @staticmethod
+    def _per_rule_zero_one_oracle(b, n, cap):
+        """The 0/1 oracle as it stood before it shared the PTA oracle's rows:
+        every rule per node through zero_one_successors, then saturation."""
+
+        def successors(node):
+            for label, dst, vals in semantics.zero_one_successors(b, n, node, cap + 1):
+                yield label, (dst, tuple(sorted((c, min(v, cap)) for c, v in vals.items())))
+
+        start = PtaConfiguration.make(b.initial, {c: 0 for c in b.clocks})
+        found = shortest_path(
+            (start.state, start.valuation), successors, lambda node: node[0] in b.finals
+        )
+        return None if found is None else semantics._replay(b, n, start, found[1])
+
+    def test_zero_one_oracle_runs_match_the_per_rule_search(self):
+        ptas = [fx.pta for fx in fixture_corpus()]
+        ptas += [crt_pta(pairs) for pairs in ([(3, 2)], [(3, 2), (4, 3)], [(4, 3), (5, 4)])]
+        rng = random.Random(60610)
+        ptas += [random_two_one_pta(rng, max_states=3) for _ in range(100)]
+        hits = 0
+        for pta in ptas:
+            b = to_zero_one_pta(pta)
+            for n in range(7):
+                need = max(n, max(b.consts(), default=0)) + 1
+                for cap in (need, need + 3):
+                    run = zero_one_reach_bruteforce(b, n, cap)
+                    assert run == self._per_rule_zero_one_oracle(b, n, cap), (pta, n, cap)
                     hits += run is not None
         assert hits
