@@ -133,32 +133,65 @@ class PtaRule:
         object.__setattr__(self, "resets", frozenset(self.resets))
 
 
-def _freeze_clock_automaton(a, rule_fields: tuple) -> None:
-    """Freeze a PTA's or 0/1-PTA's fields and check every declaration."""
-    for name in ("states", "clocks", "params", "finals"):
-        object.__setattr__(a, name, frozenset(getattr(a, name)))
-    for name in rule_fields:
-        object.__setattr__(a, name, tuple(getattr(a, name)))
-    if not a.states or not a.clocks:
-        raise ValueError(f"{type(a).__name__} needs a non-empty state set and clock set")
-    if a.initial not in a.states:
-        raise ValueError("initial state not declared")
-    if not a.finals <= a.states:
-        raise ValueError("final states must be declared states")
-    for name in rule_fields:
-        for rule in getattr(a, name):
-            if rule.src not in a.states or rule.dst not in a.states:
-                raise ValueError(f"rule endpoint not a declared state: {rule}")
-            if rule.guard.clock not in a.clocks:
-                raise ValueError(f"guard clock not declared: {rule.guard}")
-            if rule.guard.parametric and rule.guard.rhs not in a.params:
-                raise ValueError(f"guard parameter not declared: {rule.guard}")
-            if not rule.resets <= a.clocks:
-                raise ValueError(f"reset set mentions undeclared clock: {rule}")
+class _RuleIndex:
+    """The by-source rule index that PTAs, 0/1-PTAs and POCAs share."""
+
+    @cached_property
+    def leaving(self) -> dict:
+        """State -> indices into ``rules`` of the rules leaving it, in rule order,
+        built on first use.  The initial state comes first, even if no rule
+        leaves it, then the sources in the order the rule tuple first leaves
+        them; a state that no rule leaves is absent."""
+        out = {self.initial: []}
+        for idx, rule in enumerate(self.rules):
+            out.setdefault(rule.src, []).append(idx)
+        return {state: tuple(idxs) for state, idxs in out.items()}
+
+
+class _ClockAutomaton(_RuleIndex):
+    """What PTAs and 0/1-PTAs share: the declaration check, consts and size.
+
+    ``_RULE_FIELDS`` names the rule fields; the size counts the declarations
+    ``_DECLARED_WEIGHT`` times.
+    """
+
+    def __post_init__(self):
+        for name in ("states", "clocks", "params", "finals"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        for name in self._RULE_FIELDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.states or not self.clocks:
+            raise ValueError(f"{type(self).__name__} needs a non-empty state set and clock set")
+        if self.initial not in self.states:
+            raise ValueError("initial state not declared")
+        if not self.finals <= self.states:
+            raise ValueError("final states must be declared states")
+        for name in self._RULE_FIELDS:
+            for rule in getattr(self, name):
+                if rule.src not in self.states or rule.dst not in self.states:
+                    raise ValueError(f"rule endpoint not a declared state: {rule}")
+                if rule.guard.clock not in self.clocks:
+                    raise ValueError(f"guard clock not declared: {rule.guard}")
+                if rule.guard.parametric and rule.guard.rhs not in self.params:
+                    raise ValueError(f"guard parameter not declared: {rule.guard}")
+                if not rule.resets <= self.clocks:
+                    raise ValueError(f"reset set mentions undeclared clock: {rule}")
+
+    @cached_property
+    def _consts(self) -> frozenset:
+        return frozenset(r.guard.rhs for r in self.rules if not r.guard.parametric)
+
+    def consts(self) -> frozenset:
+        """The guard constants, computed once per automaton."""
+        return self._consts
+
+    def size(self) -> int:
+        declared = self._DECLARED_WEIGHT * (len(self.states) + len(self.clocks) + len(self.params))
+        return declared + len(self.rules) + sum(r.guard.size() for r in self.rules)
 
 
 @dataclass(frozen=True)
-class PTA:
+class PTA(_ClockAutomaton):
     """Parametric timed automaton (Q, clocks, params, rules, initial, finals)."""
 
     states: frozenset
@@ -168,8 +201,8 @@ class PTA:
     initial: str
     finals: frozenset
 
-    def __post_init__(self):
-        _freeze_clock_automaton(self, ("rules",))
+    _RULE_FIELDS = ("rules",)
+    _DECLARED_WEIGHT = 1
 
     def parametric_clocks(self) -> frozenset:
         """Clocks compared against a parameter in at least one rule."""
@@ -181,23 +214,9 @@ class PTA:
         """(m, n): number of parametric clocks and number of parameters."""
         return (len(self.parametric_clocks()), len(self.params))
 
-    def consts(self) -> frozenset:
-        return frozenset(
-            r.guard.rhs for r in self.rules if not r.guard.parametric
-        )
-
-    def size(self) -> int:
-        return (
-            len(self.states)
-            + len(self.clocks)
-            + len(self.params)
-            + len(self.rules)
-            + sum(r.guard.size() for r in self.rules)
-        )
-
 
 @dataclass(frozen=True)
-class ZeroOnePTA:
+class ZeroOnePTA(_ClockAutomaton):
     """0/1 timed automaton: each rule fixes whether one time unit elapses."""
 
     states: frozenset
@@ -208,31 +227,13 @@ class ZeroOnePTA:
     initial: str
     finals: frozenset
 
-    def __post_init__(self):
-        _freeze_clock_automaton(self, ("rules0", "rules1"))
+    _RULE_FIELDS = ("rules0", "rules1")
+    _DECLARED_WEIGHT = 2
 
-    def rules(self, i: int) -> tuple:
-        if i == 0:
-            return self.rules0
-        if i == 1:
-            return self.rules1
-        raise ValueError("rule set index must be 0 or 1")
-
-    def consts(self) -> frozenset:
-        return frozenset(
-            r.guard.rhs
-            for r in self.rules0 + self.rules1
-            if not r.guard.parametric
-        )
-
-    def size(self) -> int:
-        fixed = len(self.states) + len(self.clocks) + len(self.params)
-        return (
-            2 * fixed
-            + len(self.rules0)
-            + len(self.rules1)
-            + sum(r.guard.size() for r in self.rules0 + self.rules1)
-        )
+    @cached_property
+    def rules(self) -> tuple:
+        """The time-0 rules, then the time-1 rules: the tuple run labels index."""
+        return self.rules0 + self.rules1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ class PocaRule:
 
 
 @dataclass(frozen=True)
-class POCA:
+class POCA(_RuleIndex):
     """Parametric one-counter automaton (Q, params, rules, initial, finals)."""
 
     states: frozenset
@@ -391,12 +392,9 @@ class POCA:
         leaving each, built on first use.
 
         Kept for the automaton's lifetime, so every per-N counter search
-        over one POCA shares it.  The build is one pass that groups rule
-        indices by source, as a bare source index would.
+        over one POCA shares it.  The rules by source are ``leaving``'s.
         """
-        leaving = {self.initial: []}
-        for idx, rule in enumerate(self.rules):
-            leaving.setdefault(rule.src, []).append(idx)
+        leaving = self.leaving
         states = (*leaving, *sorted(self.states.difference(leaving)))
         ids = dict(zip(states, range(len(states))))
         finals = frozenset(ids[s] for s in self.finals)

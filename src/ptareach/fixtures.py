@@ -304,7 +304,7 @@ def random_semirun(poca: POCA, n: int, rng, max_len: int = 40, start: int = 0):
     configs = [PocaConfiguration(state, start)]
     rules = []
     for _ in range(rng.randrange(1, max_len)):
-        options = [(i, r) for i, r in enumerate(poca.rules) if r.src == configs[-1].state]
+        options = [(i, poca.rules[i]) for i in poca.leaving.get(configs[-1].state, ())]
         rng.shuffle(options)
         for i, rule in options:
             out = semitransition_step(poca, n, configs[-1], rule)

@@ -307,7 +307,7 @@ class _RegionTables(dict):
 
     def __missing__(self, region):
         b = self.b
-        guards = dict.fromkeys(r.guard for r in b.rules0 + b.rules1)
+        guards = dict.fromkeys(r.guard for r in b.rules)
         holds = {g: region_satisfies(region, g, self.clocks) for g in guards}
         eps = {s: set() for s in b.states}
         for rule in b.rules0:

@@ -150,13 +150,11 @@ def region_oca(b_r: ZeroOnePTA) -> POCA:
     and no tests, so runs from q(0) to q'(n) match region runs advancing both
     clocks by n.
     """
-    for rule in b_r.rules0 + b_r.rules1:
-        if rule.resets:
-            raise ValueError("region OCA projection requires a reset-free input")
+    if any(rule.resets for rule in b_r.rules):
+        raise ValueError("region OCA projection requires a reset-free input")
+    split = len(b_r.rules0)
     rules = tuple(
-        PocaRule(r.src, AddConst(i), r.dst)
-        for i, rule_set in ((0, b_r.rules0), (1, b_r.rules1))
-        for r in rule_set
+        PocaRule(r.src, AddConst(int(i >= split)), r.dst) for i, r in enumerate(b_r.rules)
     )
     return POCA(
         states=b_r.states,

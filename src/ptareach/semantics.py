@@ -75,8 +75,8 @@ class Run:
 
     ``labels[i]`` describes the step from ``configs[i]`` to ``configs[i+1]``:
     (rule_index, delay) for PTAs, (rule_index, time_bit) for 0/1-PTAs and a
-    bare rule_index for POCAs.  Rule indices refer to the automaton's rule
-    tuple (``rules0 + rules1`` for 0/1-PTAs).
+    bare rule_index for POCAs.  Rule indices refer to the automaton's
+    ``rules`` tuple.
     """
 
     kind: str  # "pta" | "zero-one-pta" | "poca"
@@ -188,16 +188,15 @@ def semitransition_step(
 def _label_step(automaton, n: int, enforce_comparisons: bool = True):
     """The exact step of one run label: step(conf, label) -> next conf or None.
 
-    The label names its rule by index into the automaton's rule tuple
-    (``rules0 + rules1`` for a 0/1-PTA).  ValueError for an index, delay or
-    time bit that is not a plain int, an index outside that tuple, a
-    negative delay, a 0/1 time bit naming the other rule set, a rule that
-    does not leave the configuration's state, or a valuation that is not
-    total over the clocks.
+    The label names its rule by index into the automaton's ``rules``.
+    ValueError for an index, delay or time bit that is not a plain int, an
+    index outside that tuple, a negative delay, a 0/1 time bit naming the
+    other rule set, a rule that does not leave the configuration's state,
+    or a valuation that is not total over the clocks.
     """
     poca = isinstance(automaton, POCA)
     zero_one = isinstance(automaton, ZeroOnePTA)
-    rules = automaton.rules0 + automaton.rules1 if zero_one else automaton.rules
+    rules = automaton.rules
 
     def step(conf, label):
         idx, delay = (label, 0) if poca else label
@@ -321,11 +320,11 @@ def _guard_window(cmp: str, rhs: int, value: int, cap: int) -> tuple:
     return lo, cap if greatest is None else min(d + greatest, cap)
 
 
-def _oracle(a, n: int, clock_cap: Optional[int], rules) -> Optional[Run]:
+def _oracle(a, n: int, clock_cap: Optional[int]) -> Optional[Run]:
     """Search a PTA or 0/1-PTA from the zero valuation to a final state, then replay.
 
-    rules lists (rule, fixed delay or None); a step's label is (index into
-    rules, delay).  Clock values saturate at clock_cap, by default the
+    A step's label is (rule index, delay), and a 0/1 rule's delay is fixed
+    to its time bit.  Clock values saturate at clock_cap, by default the
     least sound cap max(n, max consts) + 1; the labels of a shortest
     accepting path are replayed under exact semantics.  Each rule tries
     only its guard window, cut to its fixed delay, in ascending order, up
@@ -337,15 +336,16 @@ def _oracle(a, n: int, clock_cap: Optional[int], rules) -> Optional[Run]:
         raise ValueError(f"clock_cap {clock_cap} below required {needed}")
     cap = needed if clock_cap is None else clock_cap
     clocks = sorted(a.clocks)  # the positions of a node's valuation tuple
+    split = len(a.rules0) if isinstance(a, ZeroOnePTA) else None  # the first time-1 index
     rows = {}  # source -> [(index, fixed delay, dst, guard clock position, cmp, rhs at n, kept)]
 
     def row(state):
         """The state's rules as rows in index order, built when the search first expands it."""
         out = rows[state] = []
-        for ridx, (rule, fixed) in enumerate(rules):
-            if rule.src != state:
-                continue
+        for ridx in a.leaving.get(state, ()):
+            rule = a.rules[ridx]
             g = rule.guard
+            fixed = None if split is None else int(ridx >= split)
             kept = tuple(i for i, c in enumerate(clocks) if c not in rule.resets)
             rhs = n if g.parametric else g.rhs
             out.append((ridx, fixed, rule.dst, clocks.index(g.clock), g.cmp, rhs, kept))
@@ -378,7 +378,7 @@ def pta_reach_bruteforce(pta: PTA, n: int, clock_cap: Optional[int] = None) -> O
     distinguish values >= clock_cap when clock_cap > max(n, max consts).
     The cap defaults to the least sound one.
     """
-    return _oracle(pta, n, clock_cap, [(rule, None) for rule in pta.rules])
+    return _oracle(pta, n, clock_cap)
 
 
 def zero_one_reach_bruteforce(
@@ -387,7 +387,7 @@ def zero_one_reach_bruteforce(
     """BFS reachability for a 0/1-PTA with clock saturation at clock_cap,
     by default the least sound cap: the PTA oracle with each rule's delay
     fixed to its time bit."""
-    return _oracle(b, n, clock_cap, [(r, 0) for r in b.rules0] + [(r, 1) for r in b.rules1])
+    return _oracle(b, n, clock_cap)
 
 
 def zero_one_successors(
@@ -399,21 +399,19 @@ def zero_one_successors(
 ):
     """Enabled 0/1-PTA steps from node = (state, sorted valuation tuple).
 
-    Yields ((index into rules0 + rules1, time bit), target state, valuation
-    dict after the step): time bit 0 first, then rule order.  Steps whose
-    rule fails rule_filter, or whose advanced clocks exceed coord_cap, are
-    skipped.
+    Yields ((rule index, time bit), target state, valuation dict after the
+    step) in rule order, so time bit 0 first.  Steps whose rule fails
+    rule_filter, or whose advanced clocks exceed coord_cap, are skipped.
     """
     state, vals = node
-    for i, offset in ((0, 0), (1, len(b.rules0))):
-        if max((v + i for _, v in vals), default=0) > coord_cap:
+    top, split = max(v for _, v in vals), len(b.rules0)
+    for idx in b.leaving.get(state, ()):
+        rule, bit = b.rules[idx], int(idx >= split)
+        if top + bit > coord_cap or (rule_filter is not None and not rule_filter(rule)):
             continue
-        for j, rule in enumerate(b.rules(i)):
-            if rule.src != state or (rule_filter is not None and not rule_filter(rule)):
-                continue
-            advanced = _clock_step(rule, n, vals, i)
-            if advanced is not None:
-                yield (offset + j, i), rule.dst, advanced
+        advanced = _clock_step(rule, n, vals, bit)
+        if advanced is not None:
+            yield (idx, bit), rule.dst, advanced
 
 
 def zero_one_reach_configs(

@@ -1,11 +1,12 @@
 """JSON interchange for automata and witness runs.
 
 Canonical form: object keys in the order written below, states/clocks/params
-sorted, rules in the automaton's own tuple order (rules0 before rules1 for
-0/1-PTAs), so the rule indices in witness labels survive a round trip.  The
-parser rejects unknown comparison symbols and unknown operation kinds, a
-name set that is not a JSON list, a bool or a float where an integer is due,
-and a missing key, naming the key and the object it is missing from.
+sorted, rules in the order of the automaton's ``rules`` tuple (time-0 rules
+first for 0/1-PTAs), so the rule indices in witness labels survive a round
+trip.  The parser rejects a 0/1-PTA that lists a time-0 rule after a time-1
+rule, unknown comparison symbols and unknown operation kinds, a name set
+that is not a JSON list, a bool or a float where an integer is due, and a
+missing key, naming the key and the object it is missing from.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def automaton_to_obj(a: Automaton) -> dict:
     if isinstance(a, PTA):
         kind, rules = "pta", [_pta_rule_obj(r) for r in a.rules]
     elif isinstance(a, ZeroOnePTA):
-        kind, rules = "zero-one-pta", [_pta_rule_obj(r, i) for i in (0, 1) for r in a.rules(i)]
+        kind = "zero-one-pta"
+        rules = [_pta_rule_obj(r, int(i >= len(a.rules0))) for i, r in enumerate(a.rules)]
     else:
         raise TypeError(f"not an automaton: {a!r}")
     return {
@@ -170,6 +172,8 @@ def automaton_from_obj(obj: dict) -> Automaton:
         time = _int_field(r, "time", what) if kind == "zero-one-pta" else 0
         if time not in (0, 1):
             raise ValueError(f"0/1-PTA rule needs time 0 or 1: {r!r}")
+        if rules1 and not time:
+            raise ValueError(f"{what} has time 0 after a time-1 rule; time-0 rules come first")
         (rules1 if time else rules0).append(rule)
     end = (_field(obj, "initial", "automaton"), names("finals"))
     if kind == "poca":

@@ -151,8 +151,8 @@ def zero_one_run_to_pta_run(pta: PTA, n: int, b_run: Run) -> Run:
         src_state, _ = product_origin(b_run.configs[i].state)
         dst_state, dst_stored = product_origin(b_run.configs[i + 1].state)
         chosen = None
-        for j, rule in enumerate(pta.rules):
-            if rule.src != src_state or rule.dst != dst_state:
+        for j in pta.leaving.get(src_state, ()):
+            if pta.rules[j].dst != dst_state:
                 continue
             nxt = step(configs[-1], (j, pending))
             if nxt is None:

@@ -58,9 +58,8 @@ def to_zero_one_pta(pta: PTA) -> ZeroOnePTA:
         yield advanced
 
         base = dict(stored)
-        for rule in pta.rules:
-            if rule.src != state:
-                continue
+        for idx in pta.leaving.get(state, ()):
+            rule = pta.rules[idx]
             after_reset = dict(base)
             for c in rule.resets:
                 after_reset[c] = 0

@@ -1,6 +1,7 @@
 """Sizes, constants, and the derived-constant formulas."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,9 @@ from ptareach.automata import (
     lcm_range,
     lcm_set,
 )
+from ptareach.fixtures import fixture_corpus, random_two_one_pta
+from ptareach.poca_build import build_poca
+from ptareach.zero_one import to_zero_one_pta
 
 
 def test_lcm_set_basic():
@@ -243,3 +247,41 @@ def test_scaled_constants():
     assert dc.gamma == 2
     assert dc.m == 30 * (10 + 2 + 1)
     assert not dc.formula_exact
+
+
+def _indexed_automata():
+    """The fixtures and 20 acceptance-corpus draws, each with its 0/1 product and POCA."""
+    rng = random.Random(20260809)
+    ptas = [fx.pta for fx in fixture_corpus()]
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(20)]
+    for pta in ptas:
+        b = to_zero_one_pta(pta)
+        yield pta, b, build_poca(b).poca
+
+
+def test_leaving_groups_every_rule_index_by_source():
+    for pta, b, poca in _indexed_automata():
+        assert b.rules == b.rules0 + b.rules1
+        for a in (pta, b, poca):
+            leaving = a.leaving
+            assert leaving is a.leaving
+            # The initial state, then the sources in the order the rules first leave them.
+            assert list(leaving) == list(dict.fromkeys([a.initial] + [r.src for r in a.rules]))
+            assert sorted(i for idxs in leaving.values() for i in idxs) == list(range(len(a.rules)))
+            for state, idxs in leaving.items():
+                assert list(idxs) == sorted(idxs)
+                assert all(a.rules[i].src == state for i in idxs)
+
+
+def test_step_table_reads_the_source_index():
+    for _, _, poca in _indexed_automata():
+        table = poca.step_table
+        assert len(table.leaving) == len(poca.leaving)
+        for i, idxs in enumerate(table.leaving):
+            assert idxs == poca.leaving[table.states[i]]
+
+
+def test_consts_computed_once_per_automaton():
+    pta = fixture_corpus()[0].pta
+    for a in (pta, to_zero_one_pta(pta)):
+        assert a.consts() is a.consts()

@@ -282,7 +282,7 @@ def test_reduce_region_stage(fixture_dir, capsys):
     pta = str(fixture_dir / "even.json")
     assert main(["reduce", "--stage", "region", "--pta", pta, "--region", "LOWER_LEFT"]) == 0
     b_r = serialize.loads(capsys.readouterr().out)
-    assert not any(r.resets for r in b_r.rules0 + b_r.rules1)
+    assert not any(r.resets for r in b_r.rules)
     # A missing region names the flag; an unknown one is refused by the
     # parser with the valid names.  Both exit 2.
     assert main(["reduce", "--stage", "region", "--pta", pta]) == 2
@@ -483,3 +483,21 @@ def test_parse_rejects_malformed_automata(fixture_dir, tmp_path, capsys, edit, m
     path.write_text(json.dumps(edit(json.loads((fixture_dir / "even.json").read_text()))))
     assert main(["parse", "--input", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["parse", "--input"], ["simulate", "--param", "1", "--automaton"]])
+def test_time_zero_rule_after_time_one_rule_exits_2(tmp_path, capsys, argv):
+    # Read in file order, a witness's label 1 would name the time-1 rule
+    # written first: the file is rejected, naming its rule 1.
+    rule = {"from": "a", "resets": [], "to": "a"}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({
+        "kind": "zero-one-pta", "states": ["a", "b"], "clocks": ["x"], "params": ["p"],
+        "rules": [
+            {**rule, "guard": {"clock": "x", "cmp": ">=", "rhs": 0}, "time": 1},
+            {**rule, "guard": {"clock": "x", "cmp": "=", "rhs": "p"}, "to": "b", "time": 0},
+        ],
+        "initial": "a", "finals": ["b"],
+    }))
+    assert main(argv + [str(path)]) == 2
+    assert "rule 1 has time 0 after a time-1 rule" in capsys.readouterr().err

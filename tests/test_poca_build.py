@@ -322,8 +322,8 @@ def test_each_rule_classified_once_per_region(monkeypatch):
             seen.clear()
         b = to_zero_one_pta(pta)
         build_poca(b)
-        guards = {r.guard for r in b.rules0 + b.rules1}
-        assert len(guards) < len(b.rules0 + b.rules1)  # some guard has several carriers
+        guards = {r.guard for r in b.rules}
+        assert len(guards) < len(b.rules)  # some guard has several carriers
         classified = calls["region_satisfies"]
         assert classified and set(classified.values()) == {1}
         for region in {region for region, _ in classified}:

@@ -130,7 +130,7 @@ class TestRegionAutomaton:
             expected1 = int(region_satisfies(region, Guard("y", ">", 0)))
             assert len(out.rules0) == expected0
             assert len(out.rules1) == expected1
-            for rule in out.rules0 + out.rules1:
+            for rule in out.rules:
                 assert rule.guard == Guard("x", ">=", 0)
 
     def test_rejects_nonzero_constants(self):

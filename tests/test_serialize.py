@@ -118,6 +118,30 @@ def test_unknown_kind_and_cmp_rejected():
         serialize.run_from_obj({**run, "kind": "mystery"})
 
 
+def _time_one_first():
+    """A 0/1-PTA object whose time-1 rule comes before its time-0 rule."""
+    rule = {"from": "a", "resets": [], "to": "a"}
+    return {
+        "kind": "zero-one-pta", "states": ["a", "b"], "clocks": ["x"], "params": ["p"],
+        "rules": [
+            {**rule, "guard": {"clock": "x", "cmp": ">=", "rhs": 0}, "time": 1},
+            {**rule, "guard": {"clock": "x", "cmp": "=", "rhs": "p"}, "to": "b", "time": 0},
+        ],
+        "initial": "a", "finals": ["b"],
+    }
+
+
+def test_time_zero_rule_after_time_one_rule_rejected():
+    # Witness labels index the file's rule list; reordering the rules into
+    # time-0 first would make label 1 name another rule than file rule 1.
+    obj = _time_one_first()
+    with pytest.raises(ValueError, match="rule 1 has time 0 after a time-1 rule"):
+        serialize.automaton_from_obj(obj)
+    obj["rules"].reverse()
+    b = serialize.automaton_from_obj(obj)
+    assert serialize.automaton_to_obj(b) == obj
+
+
 def test_operation_numbers_must_be_integers():
     # Bools and non-integral numbers are no counter constants, as in guards.
     for obj, field in (

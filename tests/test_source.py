@@ -91,3 +91,29 @@ def test_every_private_function_is_referenced():
             if private and counts[node.name] == own:
                 found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_only_automata_groups_rules_by_source():
+    # The rules leaving a state are read from the automaton's ``leaving``
+    # index; a module comparing a rule's source is scanning every rule.
+    # The one exception is the stepper's check that a label's rule leaves
+    # the configuration's state.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "automata.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "semantics.py":
+            stepper = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "_label_step")
+            allowed = {id(node) for node in ast.walk(stepper)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or id(node) in allowed:
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                isinstance(x, ast.Attribute) and x.attr == "src" for x in operands
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
