@@ -147,6 +147,18 @@ class _RuleIndex:
             out.setdefault(rule.src, []).append(idx)
         return {state: tuple(idxs) for state, idxs in out.items()}
 
+    @cached_property
+    def live(self) -> frozenset:
+        """The states from which some rule path reaches a final state, built
+        on first use: the finals and every state a rule path leads from into
+        them, by the search kernel run over the reversed rules."""
+        from .semantics import reachable
+
+        entering = {}
+        for rule in self.rules:
+            entering.setdefault(rule.dst, []).append(rule.src)
+        return frozenset(reachable(self.finals, lambda state: entering.get(state, ())))
+
 
 class _ClockAutomaton(_RuleIndex):
     """What PTAs and 0/1-PTAs share: the declaration check, consts and size.

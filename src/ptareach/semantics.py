@@ -3,9 +3,9 @@
 Every reduction pass in this package is validated against the step
 functions and explicit-state searches defined here.  These searches, and
 those of the 0/1 product, the POCA construction, the arithmetic-progression
-tables and the solver's audit, run on one breadth-first kernel
-(``shortest_path``, ``reachable``), so returned witnesses are shortest, which
-keeps golden outputs stable.
+tables, the solver's audit and the automata's ``live`` sets, run on one
+breadth-first kernel (``shortest_path``, ``reachable``), so returned
+witnesses are shortest, which keeps golden outputs stable.
 
 The counter searches (``poca_reach_bounded`` and the solver's audit) run
 the kernel on integer nodes: state(z) in the window [lo, hi] is the key
@@ -330,20 +330,31 @@ def _oracle(a, n: int, clock_cap: Optional[int]) -> Optional[Run]:
     only its guard window, cut to its fixed delay, in ascending order, up
     to the delay that saturates every clock it keeps: later delays repeat
     that successor.
+
+    The search keeps to ``a.live``: from a dead initial state it returns
+    None at once, and no row lists a rule into a dead state.  A dead
+    state's successors are all dead, so the search meets the live nodes in
+    the same order, through the same parents, and stops at the same goal.
     """
     needed = max(n, max(a.consts(), default=0)) + 1
     if clock_cap is not None and clock_cap < needed:
         raise ValueError(f"clock_cap {clock_cap} below required {needed}")
+    live = a.live
+    if a.initial not in live:
+        return None
     cap = needed if clock_cap is None else clock_cap
     clocks = sorted(a.clocks)  # the positions of a node's valuation tuple
     split = len(a.rules0) if isinstance(a, ZeroOnePTA) else None  # the first time-1 index
     rows = {}  # source -> [(index, fixed delay, dst, guard clock position, cmp, rhs at n, kept)]
 
     def row(state):
-        """The state's rules as rows in index order, built when the search first expands it."""
+        """The state's rules into live states as rows in index order, built
+        when the search first expands it."""
         out = rows[state] = []
         for ridx in a.leaving.get(state, ()):
             rule = a.rules[ridx]
+            if rule.dst not in live:
+                continue
             g = rule.guard
             fixed = None if split is None else int(ridx >= split)
             kept = tuple(i for i, c in enumerate(clocks) if c not in rule.resets)

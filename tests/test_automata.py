@@ -250,10 +250,12 @@ def test_scaled_constants():
 
 
 def _indexed_automata():
-    """The fixtures and 20 acceptance-corpus draws, each with its 0/1 product and POCA."""
-    rng = random.Random(20260809)
+    """The fixtures and 20 draws of the acceptance and of the seed-0 corpus,
+    each with its 0/1 product and POCA."""
     ptas = [fx.pta for fx in fixture_corpus()]
-    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(20)]
+    for seed in (20260809, 0):
+        rng = random.Random(seed)
+        ptas += [random_two_one_pta(rng, max_states=3) for _ in range(20)]
     for pta in ptas:
         b = to_zero_one_pta(pta)
         yield pta, b, build_poca(b).poca
@@ -285,3 +287,40 @@ def test_consts_computed_once_per_automaton():
     pta = fixture_corpus()[0].pta
     for a in (pta, to_zero_one_pta(pta)):
         assert a.consts() is a.consts()
+
+
+def _backward_closure(a) -> set:
+    """The finals and every source of a rule into the set, to a fixpoint."""
+    live = set(a.finals)
+    grew = True
+    while grew:
+        grew = False
+        for rule in a.rules:
+            if rule.dst in live and rule.src not in live:
+                live.add(rule.src)
+                grew = True
+    return live
+
+
+def test_live_is_the_backward_closure_of_the_finals():
+    dead_initial = 0
+    for pta, b, poca in _indexed_automata():
+        for a in (pta, b, poca):
+            assert a.live == _backward_closure(a)
+            assert a.live is a.live
+        dead_initial += pta.initial not in pta.live
+        if poca.finals:
+            # build_poca: each state lies on an initial-to-accepting path.
+            assert poca.live == poca.states
+    # The fixture "never", acceptance r10 and seed-0 r2 and r12 start dead.
+    assert dead_initial == 4
+
+
+def test_live_is_built_on_first_use():
+    rng = random.Random(20260809)
+    for pta in [fx.pta for fx in fixture_corpus()] + [random_two_one_pta(rng, max_states=3)]:
+        assert "live" not in pta.__dict__
+        b = to_zero_one_pta(pta)
+        assert "live" not in pta.__dict__ and "live" not in b.__dict__
+        live = pta.live
+        assert pta.__dict__["live"] is live

@@ -795,3 +795,68 @@ class TestGuardWindow:
                     assert run == self._per_rule_zero_one_oracle(b, n, cap), (pta, n, cap)
                     hits += run is not None
         assert hits
+
+
+class TestLiveStates:
+    """The clock oracles search only states from which a final state is reachable."""
+
+    @staticmethod
+    def _count_windows(monkeypatch) -> list:
+        calls = []
+        window = semantics._guard_window
+
+        def counted(*args):
+            calls.append(args)
+            return window(*args)
+
+        monkeypatch.setattr(semantics, "_guard_window", counted)
+        return calls
+
+    def test_dead_initial_state_returns_at_once(self, monkeypatch):
+        # f is final, but no rule leads into it: q and r cycle among themselves.
+        rules = (
+            PtaRule("q", Guard("x", ">=", "p"), frozenset(), "q"),
+            PtaRule("q", Guard("y", "<=", "p"), frozenset({"x"}), "r"),
+            PtaRule("r", Guard("x", "=", 1), frozenset({"y"}), "q"),
+            PtaRule("f", Guard("x", "<=", "p"), frozenset(), "f"),
+        )
+        pta = _pta({"q", "r", "f"}, {"x", "y"}, {"p"}, rules, "q", {"f"})
+        b = to_zero_one_pta(pta)
+        calls = self._count_windows(monkeypatch)
+        assert pta_reach_bruteforce(pta, 30) is None
+        assert zero_one_reach_bruteforce(b, 30) is None
+        assert calls == []
+
+    @staticmethod
+    def _with_dead_sink(pta):
+        """pta with, before each rule, an always-enabled rule from its source
+        into a sink pair that no final state is reachable from."""
+        sink = (
+            PtaRule("s1", Guard("y", "<=", "p"), frozenset({"x"}), "s2"),
+            PtaRule("s2", Guard("x", ">=", 1), frozenset(), "s1"),
+        )
+        rules = []
+        for rule in pta.rules:
+            rules += [PtaRule(rule.src, Guard("x", ">=", 0), frozenset(), "s1"), rule]
+        return PTA(pta.states | {"s1", "s2"}, pta.clocks, pta.params,
+                   tuple(rules) + sink, pta.initial, pta.finals)
+
+    @staticmethod
+    def _steps(a, run):
+        return None if run is None else (run.configs, [(a.rules[i], d) for i, d in run.labels])
+
+    def test_dead_sink_branch_leaves_witnesses_unchanged(self):
+        steps = self._steps
+        hits = 0
+        for name in ("even", "odd", "eq2", "reset_pingpong", "nonparam_ge2"):
+            pta = fixture_by_name(name).pta
+            sunk = self._with_dead_sink(pta)
+            assert sunk.live == pta.live
+            b, sunk_b = to_zero_one_pta(pta), to_zero_one_pta(sunk)
+            for n in range(9):
+                run = pta_reach_bruteforce(pta, n)
+                assert steps(sunk, pta_reach_bruteforce(sunk, n)) == steps(pta, run), (name, n)
+                assert (steps(sunk_b, zero_one_reach_bruteforce(sunk_b, n))
+                        == steps(b, zero_one_reach_bruteforce(b, n))), (name, n)
+                hits += run is not None
+        assert hits

@@ -6,8 +6,10 @@ import pytest
 
 from ptareach.automata import PTA, CmpConst, Guard, PocaRule, PtaRule
 from ptareach.fixtures import fixture_by_name, fixture_corpus, random_two_one_pta
+from ptareach.poca_build import build_poca
 from ptareach.semantics import validate_run
 from ptareach.solver import cross_check, decide
+from ptareach.zero_one import to_zero_one_pta
 
 
 class TestDecide:
@@ -117,3 +119,25 @@ class TestCrossCheck:
                 diverged = n
                 break
         assert diverged is not None
+
+
+@pytest.mark.parametrize("seed, fixtures, dead", [(20260809, True, 16), (0, False, 11)])
+def test_dead_initial_state_is_unreachable_on_every_route(seed, fixtures, dead):
+    # The acceptance corpus (in-corpus fixtures, then 110 draws) and the
+    # seed-0 corpus: where no rule path leads from the initial state to a
+    # final one, the 0/1 product, the POCA and the oracle all say so.
+    ptas = [fx.pta for fx in fixture_corpus() if fx.in_corpus] if fixtures else []
+    rng = random.Random(seed)
+    ptas += [random_two_one_pta(rng, max_states=3) for _ in range(110)]
+    checked = 0
+    for pta in ptas:
+        if pta.initial in pta.live:
+            continue
+        b = to_zero_one_pta(pta)
+        assert b.initial not in b.live
+        assert not build_poca(b).poca.finals
+        report = cross_check(pta, 31)
+        assert report.agree
+        assert not any(row["direct"] or row["via_poca"] for row in report.per_value)
+        checked += 1
+    assert checked == dead
