@@ -38,7 +38,7 @@ from .semantics import (
 )
 from .zero_one import product_origin, to_zero_one_pta
 from .regions import Region, region_automaton, region_oca, region_of, region_satisfies
-from .semilinear import APSet, apset_contains_zero, apset_member, reach_lengths
+from .semilinear import APSet, apset_member, reach_lengths
 from .semiruns import (
     Embedding,
     Semirun,

@@ -454,17 +454,12 @@ class StepTable:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """The quadruple (Z, Gamma, Upsilon, M) attached to a POCA.
-
-    ``formula_exact`` distinguishes values obtained from the defining formulas
-    from test-scale overrides; property tests may legally shrink the latter.
-    """
+    """The quadruple (Z, Gamma, Upsilon, M) attached to a POCA."""
 
     z: int
     gamma: int
     upsilon: int
     m: int
-    formula_exact: bool = True
 
     def __post_init__(self):
         if min(self.z, self.gamma, self.upsilon, self.m) < 1:
@@ -482,7 +477,7 @@ class DerivedConstants:
         gamma = big_lcm * z
         upsilon = k * big_lcm * (k * z + 2)
         m = 30 * (upsilon + gamma + 1)
-        return cls(z=z, gamma=gamma, upsilon=upsilon, m=m, formula_exact=True)
+        return cls(z=z, gamma=gamma, upsilon=upsilon, m=m)
 
     @classmethod
     def scaled(cls, k: int, z: int, upsilon: int) -> "DerivedConstants":
@@ -491,7 +486,7 @@ class DerivedConstants:
             raise ValueError("scaled constants must be positive")
         gamma = lcm_range(k) * z
         m = 30 * (upsilon + gamma + 1)
-        return cls(z=z, gamma=gamma, upsilon=upsilon, m=m, formula_exact=False)
+        return cls(z=z, gamma=gamma, upsilon=upsilon, m=m)
 
 
 def derive_constants(poca: POCA) -> DerivedConstants:

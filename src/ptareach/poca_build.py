@@ -674,7 +674,7 @@ def build_poca(b: ZeroOnePTA, budget: int = 200_000) -> BuildResult:
     # there sees it.
     small_runs = {}
     for k in range(SMALL_LIMIT):
-        run = semantics.zero_one_reach_bruteforce(b, k, max(k, 1) + 1)
+        run = semantics.zero_one_reach_bruteforce(b, k)
         if run is not None:
             small_runs[k] = run
             em.chain(init, _plus(k) + [CmpParam("=", PARAM)], builder.acc)

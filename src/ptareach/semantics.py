@@ -96,24 +96,8 @@ class Run:
     def counter_values(self) -> set:
         return {c.counter for c in self.configs}
 
-    def delta(self) -> int:
-        return self.configs[-1].counter - self.configs[0].counter
-
-    def minimum(self) -> int:
-        return min(self.counter_values())
-
     def maximum(self) -> int:
         return max(self.counter_values())
-
-    def subrun(self, c: int, d: int) -> "Run":
-        if not 0 <= c <= d <= len(self):
-            raise ValueError("subrun endpoints out of range")
-        return Run(self.kind, self.configs[c : d + 1], self.labels[c:d])
-
-    def concat(self, other: "Run") -> "Run":
-        if self.kind != other.kind or self.configs[-1] != other.configs[0]:
-            raise ValueError("concatenation requires matching end configurations")
-        return Run(self.kind, self.configs + other.configs[1:], self.labels + other.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +490,6 @@ def _counter_successors(poca: POCA, n: int, lo: int, hi: int):
                 yield idx, key + shift
 
     return successors
-
-
-def poca_successors(poca: POCA, n: int, lo: int, hi: int, state: str, z: int):
-    """Enabled POCA steps from state(z) whose counter stays inside [lo, hi].
-
-    Yields (rule index, target state, counter after the step) in rule order:
-    the search's specialised row of ``POCA.step_table``, decoded.
-    """
-    table = poca.step_table
-    q = len(table.states)
-    for idx, nxt in _counter_successors(poca, n, lo, hi)((z - lo) * q + table.ids[state]):
-        u, dst = divmod(nxt, q)
-        yield idx, table.states[dst], u + lo
 
 
 def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:

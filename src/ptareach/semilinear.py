@@ -95,10 +95,6 @@ def apset_member(s: APSet, t: int) -> bool:
     return False
 
 
-def apset_contains_zero(s: APSet) -> bool:
-    return apset_member(s, 0)
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------

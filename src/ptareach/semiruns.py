@@ -201,6 +201,11 @@ def _lambda_profile(semirun: Semirun):
     return lam
 
 
+def _in_lambda_window(lam, s: int, t: int, k: int) -> bool:
+    """Whether positions s..t project into Lambda_k, read off the profile lam."""
+    return lam[t] == lam[s] and all(abs(lam[i] - lam[s]) <= k for i in range(s, t + 1))
+
+
 def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     """Reduce |Delta| by exactly Gamma via disjoint glue windows.
 
@@ -218,8 +223,8 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     big_lcm = lcm_range(k)
     if consts.gamma != big_lcm * consts.z:
         raise SemirunError("constants inconsistent: Gamma != LCM(K) * Z")
-    word = phi(semirun)
-    if not in_lambda(word, 8):
+    lam = _lambda_profile(semirun)
+    if not _in_lambda_window(lam, 0, len(semirun), 8):
         raise SemirunError("depump requires a bracket projection in Lambda_8")
     delta = semirun.delta()
     if abs(delta) <= consts.upsilon:
@@ -227,7 +232,6 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
 
     sign = 1 if delta > 0 else -1
     z_const = consts.z
-    lam = _lambda_profile(semirun)
     n_val = semirun.n
     pot = [
         sign * (semirun.counter(i) - semirun.counter(0) - lam[i] * n_val)
@@ -258,36 +262,25 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     # imbalance and a value gap of d * Z, d in [1, K].
     pairs_by_d = {}
     for a, b in windows:
-        found = None
-        for s in range(a, b):
-            for t in range(s + 1, b + 1):
-                if semirun.state(s) != semirun.state(t) or lam[s] != lam[t]:
-                    continue
-                gap = sign * (semirun.counter(t) - semirun.counter(s))
-                if gap <= 0 or gap % z_const != 0:
-                    continue
-                d = gap // z_const
-                if d <= k:
-                    found = (s, t, d)
-                    break
-            if found:
+        for s, t in ((s, t) for s in range(a, b) for t in range(s + 1, b + 1)):
+            if semirun.state(s) != semirun.state(t) or lam[s] != lam[t]:
+                continue
+            gap = sign * (semirun.counter(t) - semirun.counter(s))
+            if 0 < gap <= k * z_const and gap % z_const == 0:
+                pairs_by_d.setdefault(gap // z_const, []).append((s, t))
                 break
-        if found:
-            s, t, d = found
-            pairs_by_d.setdefault(d, []).append((s, t))
 
-    chosen = None
-    for d in sorted(pairs_by_d):
-        if len(pairs_by_d[d]) >= big_lcm // d:
-            chosen = [tuple(iv) for iv in pairs_by_d[d][: big_lcm // d]]
+    for d, pairs in sorted(pairs_by_d.items()):
+        if len(pairs) >= big_lcm // d:
+            chosen = pairs[: big_lcm // d]
             break
-    if chosen is None:
+    else:
         raise DepumpError(
             "pigeonhole failed: no value class d has LCM(K)/d gluable windows"
         )
 
     for s, t in chosen:
-        if not in_lambda(word[_bracket_prefix(semirun, s) : _bracket_prefix(semirun, t)], 16):
+        if not _in_lambda_window(lam, s, t, 16):
             raise DepumpError(f"glue window ({s},{t}) has a bracket projection outside Lambda_16")
     out = multi_glue(semirun, chosen, z_const)
     if out.delta() != delta - sign * consts.gamma:
@@ -295,14 +288,16 @@ def depump(semirun: Semirun, k: int, consts: DerivedConstants):
     return out, chosen
 
 
-def _bracket_prefix(semirun: Semirun, i: int) -> int:
-    """Index into phi(semirun) of the image of position i."""
-    return sum(1 for j in range(i) if phi_at(semirun, j))
-
-
 # ---------------------------------------------------------------------------
 # Bracket window search
 # ---------------------------------------------------------------------------
+
+
+def _sign(direction: str) -> int:
+    """The sign of Delta that a bracket direction asks for: -1 or +1."""
+    if direction not in ("negative", "positive"):
+        raise ValueError("direction must be 'negative' or 'positive'")
+    return -1 if direction == "negative" else 1
 
 
 def find_bracket_subrun(
@@ -314,8 +309,7 @@ def find_bracket_subrun(
     Delta > Upsilon.  Soundness is unconditional; completeness holds under
     the bracket preconditions (see bracket_preconditions).
     """
-    if direction not in ("negative", "positive"):
-        raise ValueError("direction must be 'negative' or 'positive'")
+    sign = _sign(direction)
     lam = _lambda_profile(semirun)
     length = len(semirun)
     for c in range(length + 1):
@@ -327,10 +321,7 @@ def find_bracket_subrun(
                 break
             if lam[d] != lam[c]:
                 continue
-            delta = semirun.counter(d) - semirun.counter(c)
-            if direction == "negative" and delta < -consts.upsilon:
-                return (c, d)
-            if direction == "positive" and delta > consts.upsilon:
+            if sign * (semirun.counter(d) - semirun.counter(c)) > consts.upsilon:
                 return (c, d)
     return None
 
@@ -338,20 +329,15 @@ def find_bracket_subrun(
 def bracket_preconditions(
     semirun: Semirun, consts: DerivedConstants, direction: str = "negative"
 ) -> dict:
-    """The bracket-window existence preconditions, individually reported."""
-    word = phi(semirun)
-    delta = semirun.delta()
-    if direction == "negative":
-        delta_ok = delta < -consts.upsilon
-        majority = word.count("[") >= word.count("]")
-    else:
-        delta_ok = delta > consts.upsilon
-        majority = word.count("]") >= word.count("[")
-    values_ok = all(0 <= v <= 4 * semirun.n for v in semirun.values())
+    """The bracket-window existence preconditions, individually reported.
+
+    A negative window needs at least as many '[' as ']', a positive one the reverse.
+    """
+    sign = _sign(direction)
     return {
-        "values_in_range": values_ok,
-        "delta_large": delta_ok,
-        "bracket_majority": majority,
+        "values_in_range": all(0 <= v <= 4 * semirun.n for v in semirun.values()),
+        "delta_large": sign * semirun.delta() > consts.upsilon,
+        "bracket_majority": sign * bracket_balance(phi(semirun)) <= 0,
         "parameter_large": semirun.n > consts.m,
     }
 
@@ -365,34 +351,24 @@ def classify_hill_valley(semirun: Semirun, level: int, upsilon: int) -> str:
     """One of 'hill', 'valley', 'hill-candidate', 'valley-candidate', 'neither'.
 
     Candidates satisfy the endpoint/interior level conditions but fail a
-    parameter-transition margin condition.
+    parameter-transition margin condition.  A valley is a hill of the
+    negated counter, so it is classified as one; negating the counter also
+    swaps +p and -p.
     """
     if len(semirun) < 1:
         raise SemirunError("classification needs at least one transition")
-    z0 = semirun.counter(0)
-    zn = semirun.counter(len(semirun))
-    interior = [semirun.counter(i) for i in range(1, len(semirun))]
-
-    if z0 < level and zn < level and all(v >= level for v in interior):
-        for i in range(len(semirun)):
-            op = semirun.op(i)
-            if isinstance(op, AddParam):
-                if op.sign < 0 and not semirun.counter(i) > z0 + upsilon:
-                    return "hill-candidate"
-                if op.sign > 0 and not semirun.counter(i + 1) > zn + upsilon:
-                    return "hill-candidate"
-        return "hill"
-
-    if z0 > level and zn > level and all(v <= level for v in interior):
-        for i in range(len(semirun)):
-            op = semirun.op(i)
-            if isinstance(op, AddParam):
-                if op.sign < 0 and not semirun.counter(i + 1) < zn - upsilon:
-                    return "valley-candidate"
-                if op.sign > 0 and not semirun.counter(i) < z0 - upsilon:
-                    return "valley-candidate"
-        return "valley"
-
+    last = len(semirun)
+    for name, s in (("hill", 1), ("valley", -1)):
+        z = [s * semirun.counter(i) for i in range(last + 1)]
+        top = s * level
+        if z[0] < top and z[last] < top and all(v >= top for v in z[1:last]):
+            for i in range(last):
+                op = semirun.op(i)
+                if isinstance(op, AddParam) and not (
+                    z[i] > z[0] + upsilon if s * op.sign < 0 else z[i + 1] > z[last] + upsilon
+                ):
+                    return f"{name}-candidate"
+            return name
     return "neither"
 
 

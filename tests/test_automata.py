@@ -216,7 +216,6 @@ def test_derive_constants_single_state():
     dc = derive_constants(_poca(rules))
     assert dc.z == 6
     assert dc.gamma == 12252240 * 6 == 73513440
-    assert dc.formula_exact
 
 
 def test_derive_constants_empty_consts():
@@ -246,7 +245,6 @@ def test_scaled_constants():
     dc = DerivedConstants.scaled(k=2, z=1, upsilon=10)
     assert dc.gamma == 2
     assert dc.m == 30 * (10 + 2 + 1)
-    assert not dc.formula_exact
 
 
 def _indexed_automata():

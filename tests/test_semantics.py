@@ -36,7 +36,6 @@ from ptareach.semantics import (
     apply_op,
     poca_reach_bounded,
     poca_step,
-    poca_successors,
     pta_reach_bruteforce,
     pta_step,
     reachable,
@@ -379,12 +378,8 @@ def _random_pta(rng):
 def test_run_accessors():
     configs = tuple(PocaConfiguration("a", z) for z in (0, 1, 1, -2))
     run = Run("poca", configs, (0, 1, 2))
-    assert run.delta() == -2
     assert run.counter_values() == {0, 1, -2}
-    assert run.minimum() == -2 and run.maximum() == 1
-    sub = run.subrun(1, 2)
-    assert sub.configs == configs[1:3]
-    assert run.subrun(0, 1).concat(run.subrun(1, 3)).configs == configs
+    assert run.maximum() == 1
 
 
 class TestSearchKernel:
@@ -474,6 +469,16 @@ def _reference_bound_violation(poca, n, bound, slack):
     return None if found is None else found[0][:2]
 
 
+def _successors(poca, n, lo, hi, state, z):
+    """The counter search's steps from state(z), each key decoded to
+    (rule index, target state, counter after the step)."""
+    table = poca.step_table
+    q = len(table.states)
+    for idx, nxt in semantics._counter_successors(poca, n, lo, hi)((z - lo) * q + table.ids[state]):
+        u, dst = divmod(nxt, q)
+        yield idx, table.states[dst], u + lo
+
+
 def _reference_run(poca, n, lo, hi):
     """(labels, [(state, counter), ...]) of the reference search, stepped by ``apply_op``."""
     labels = _reference_reach_labels(poca, n, lo, hi)
@@ -521,7 +526,7 @@ class TestCounterSearchAgainstReference:
                                 for z2 in [apply_op(rule.op, n, z)]
                                 if z2 is not None and lo <= z2 <= hi
                             ]
-                            assert list(poca_successors(c, n, lo, hi, state, z)) == expected
+                            assert list(_successors(c, n, lo, hi, state, z)) == expected
 
     def test_audit_equals_the_reference_audit(self):
         rng = random.Random(106)
@@ -607,9 +612,9 @@ class TestSourceIndex:
             PocaRule("a", AddParam(-1, "p"), "b"),
         )
         c = POCA(frozenset({"a", "b", "f"}), frozenset({"p"}), rules, "a", frozenset({"f"}))
-        assert list(poca_successors(c, 2, 0, 2, "a", 2)) == [(2, "f", 2), (3, "b", 0)]
-        assert list(poca_successors(c, 2, -5, 5, "a", 0)) == [(0, "b", 1), (3, "b", -2)]
-        assert list(poca_successors(c, 2, 0, 5, "f", 0)) == []
+        assert list(_successors(c, 2, 0, 2, "a", 2)) == [(2, "f", 2), (3, "b", 0)]
+        assert list(_successors(c, 2, -5, 5, "a", 0)) == [(0, "b", 1), (3, "b", -2)]
+        assert list(_successors(c, 2, 0, 5, "f", 0)) == []
 
     def test_searches_match_per_call_rebuild(self, acceptance_builds):
         violations = 0

@@ -17,7 +17,6 @@ from ptareach.semilinear import (
     _min_weight_per_residue,
     _normalize,
     _shortest_cycle_lengths,
-    apset_contains_zero,
     apset_member,
     letter_graph,
     reach_lengths,
@@ -105,9 +104,9 @@ class TestApsetMembership:
         assert not apset_member(s, 1)
 
     def test_contains_zero(self):
-        assert apset_contains_zero(APSet.from_pairs([(0, 5)]))
-        assert not apset_contains_zero(APSet.from_pairs([(2, 1)]))
-        assert not apset_contains_zero(APSet.from_pairs([]))
+        assert 0 in APSet.from_pairs([(0, 5)])
+        assert 0 not in APSet.from_pairs([(2, 1)])
+        assert 0 not in APSet.from_pairs([])
 
     def test_normalization_subsumes(self):
         s = APSet.from_pairs([(0, 2), (2, 2), (4, 0), (1, 0)])

@@ -14,6 +14,7 @@ from ptareach.automata import (
     ModTest,
     PocaRule,
 )
+from ptareach.fixtures import random_semirun, random_walk_machine
 from ptareach.semantics import PocaConfiguration
 from ptareach.semiruns import (
     DepumpError,
@@ -312,6 +313,66 @@ class TestBracketFinder:
             "bracket_majority",
             "parameter_large",
         }
+
+
+    def test_unknown_direction_rejected_by_both(self):
+        run = _staircase(6)
+        consts = DerivedConstants.scaled(k=2, z=1, upsilon=1)
+        for check in (find_bracket_subrun, bracket_preconditions):
+            with pytest.raises(ValueError, match="direction must be"):
+                check(run, consts, "Negative")
+
+
+def _negated(op):
+    if isinstance(op, AddConst):
+        return AddConst(-op.value)
+    if isinstance(op, AddParam):
+        return AddParam(-op.sign, op.param)
+    return op
+
+
+def _mirror(run, mirror_machine):
+    """The same rule indices on the negated machine, every counter negated."""
+    configs = tuple(PocaConfiguration(c.state, -c.counter) for c in run.configs)
+    return Semirun(mirror_machine, run.n, configs, run.rules)
+
+
+def test_mirrored_semiruns_swap_hills_and_valleys_and_directions():
+    # Negating the counter turns a hill into a valley and a negative bracket
+    # window into a positive one; the sign folds in semiruns rest on this.
+    machine = random_walk_machine()
+    rules = tuple(PocaRule(r.src, _negated(r.op), r.dst) for r in machine.rules)
+    mirror_machine = POCA(machine.states, machine.params, rules, machine.initial, machine.finals)
+    swap = {
+        "hill": "valley",
+        "valley": "hill",
+        "hill-candidate": "valley-candidate",
+        "valley-candidate": "hill-candidate",
+        "neither": "neither",
+    }
+    keys = ("delta_large", "bracket_majority", "parameter_large")
+    rng = random.Random(34)
+    seen, windows = set(), 0
+    for _ in range(400):
+        n = rng.randrange(0, 6)
+        max_len = rng.choice([4, 12, 40, 80])
+        run = random_semirun(machine, n, rng, max_len=max_len, start=rng.randrange(-6, 7))
+        mirror = _mirror(run, mirror_machine)
+        assert mirror.validate() == (True, None)
+        for level in (rng.randrange(-8, 9) for _ in range(3)):
+            for ups in (0, 1, 3):
+                kind = classify_hill_valley(run, level, ups)
+                seen.add(kind)
+                assert classify_hill_valley(mirror, -level, ups) == swap[kind]
+        consts = DerivedConstants.scaled(k=2, z=1, upsilon=rng.choice([1, 2]))
+        for a, b in (("negative", "positive"), ("positive", "negative")):
+            found = find_bracket_subrun(run, consts, b)
+            assert find_bracket_subrun(mirror, consts, a) == found
+            windows += found is not None
+            got = bracket_preconditions(mirror, consts, a)
+            want = bracket_preconditions(run, consts, b)
+            assert [got[key] for key in keys] == [want[key] for key in keys]
+    assert seen == set(swap) and windows >= 40
 
 
 class TestHillValley:
