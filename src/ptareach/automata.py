@@ -399,52 +399,17 @@ class POCA(_RuleIndex):
         )
 
     @cached_property
-    def step_table(self) -> "StepTable":
-        """The states numbered for integer search nodes, with the rules
-        leaving each, built on first use.
+    def numbering(self) -> dict:
+        """State -> number for the counter searches, built on first use: the
+        states in ``leaving``'s order, so the initial state is 0, then those no
+        rule leaves, sorted, so the numbering never depends on set order."""
+        return dict(zip(self._numbered, range(len(self.states))))
 
-        Kept for the automaton's lifetime, so every per-N counter search
-        over one POCA shares it.  The rules by source are ``leaving``'s.
-        """
+    @cached_property
+    def _numbered(self) -> tuple:
+        """The states by number, as ``numbering`` numbers them."""
         leaving = self.leaving
-        states = (*leaving, *sorted(self.states.difference(leaving)))
-        ids = dict(zip(states, range(len(states))))
-        finals = frozenset(ids[s] for s in self.finals)
-        return StepTable(states, ids, self.rules, [*leaving.values()], finals)
-
-
-@dataclass(frozen=True)
-class StepTable:
-    """A POCA's states by number, and its rules by numbered source state.
-
-    ``states[i]`` is the state numbered i and ``ids`` maps it back to i.
-    The initial state is 0, then come the states that rules leave, in the
-    order the rule tuple first leaves them, then the other states, sorted:
-    the numbering never depends on set order.  ``leaving[i]`` lists the
-    indices into ``rules`` of the rules leaving state i, in rule order; it
-    ends at the last state that a rule leaves.  ``finals`` holds the ids of
-    the final states, and ``rows[i]`` is ``row(i)`` once that has been asked
-    for, else None.
-    """
-
-    states: tuple
-    ids: dict
-    rules: tuple
-    leaving: list
-    finals: frozenset
-    rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", [None] * len(self.states))
-
-    def row(self, i: int) -> tuple:
-        """``(rule index, dst id, op)`` for each rule leaving state i, in rule
-        order, listed on the first call and kept in ``rows[i]``."""
-        if self.rows[i] is None:
-            rules, ids = self.rules, self.ids
-            idxs = self.leaving[i] if i < len(self.leaving) else ()
-            self.rows[i] = tuple((j, ids[rules[j].dst], rules[j].op) for j in idxs)
-        return self.rows[i]
+        return (*leaving, *sorted(self.states.difference(leaving)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ from .semantics import (
     _label_step,
     reachable,
     shortest_path,
-    zero_one_successors,
 )
 from .semilinear import letter_graph, reach_lengths
 
@@ -749,16 +748,19 @@ def decode_witness(result: BuildResult, n: int, run) -> "object":
         start = configs[-1]
         if start.state != u:
             raise DecodeError(f"dwell starts in {start.state}, expected {u}")
-        # Reset-free steps move both clocks together, so capping the clocks
-        # at their largest start value plus `steps` caps the time steps.
-        cap = max(t for _, t in start.valuation) + steps
-        goal = (v, tuple((c, t + steps) for c, t in start.valuation))
+        # A dwell takes only reset-free rules, so every clock reads its start
+        # value plus the time waited, t: a node is (state, t), t <= steps.
+        begin, split = start.as_dict(), len(b.rules0)
 
         def successors(node):
-            for label, dst, vals in zero_one_successors(b, n, node, cap, lambda r: not r.resets):
-                yield label, (dst, tuple(sorted(vals.items())))
+            state, t = node
+            for idx in b.leaving.get(state, ()):
+                rule, bit = b.rules[idx], int(idx >= split)
+                g = rule.guard
+                if not rule.resets and t + bit <= steps and g.holds(begin[g.clock] + t + bit, n):
+                    yield (idx, bit), (rule.dst, t + bit)
 
-        found = shortest_path((u, start.valuation), successors, goal.__eq__)
+        found = shortest_path((u, 0), successors, (v, steps).__eq__)
         if found is None:
             raise DecodeError(f"no region path {u} -> {v} with {steps} time steps")
         for label in found[1]:

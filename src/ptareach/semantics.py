@@ -9,14 +9,14 @@ witnesses are shortest, which keeps golden outputs stable.
 
 The counter searches (``poca_reach_bounded`` and the solver's audit) run
 the kernel on integer nodes: state(z) in the window [lo, hi] is the key
-(z - lo) * |Q| + id(state), the states numbered by ``POCA.step_table``.
-When a search first expands a state, that state's rules are specialised to
-the search's N and window (``_specialise``), each to a key shift and a key
-interval, with a modulus for a modulo test, so a step costs one interval
-test and at most one ``%``.  Keys are one-to-one with the window's
-configurations and rules keep their order, so the search visits
-configurations in the order a search over (state, counter) pairs through
-``apply_op`` would, and returns the same witnesses.
+(z - lo) * |Q| + number(state), the states numbered by ``POCA.numbering``.
+When a search first expands a state, the rules that ``leaving`` lists for
+it are specialised to the search's N and window (``_specialise``), each to
+a key shift and a key interval, with a modulus for a modulo test, so a step
+costs one interval test and at most one ``%``.  Keys are one-to-one with
+the window's configurations and rules keep their order, so the search
+visits configurations in the order a search over (state, counter) pairs
+through ``apply_op`` would, and returns the same witnesses.
 """
 
 from __future__ import annotations
@@ -385,30 +385,6 @@ def zero_one_reach_bruteforce(
     return _oracle(b, n, clock_cap)
 
 
-def zero_one_successors(
-    b: ZeroOnePTA,
-    n: int,
-    node: tuple,
-    coord_cap: int,
-    rule_filter: Optional[Callable[[PtaRule], bool]] = None,
-):
-    """Enabled 0/1-PTA steps from node = (state, sorted valuation tuple).
-
-    Yields ((rule index, time bit), target state, valuation dict after the
-    step) in rule order, so time bit 0 first.  Steps whose rule fails
-    rule_filter, or whose advanced clocks exceed coord_cap, are skipped.
-    """
-    state, vals = node
-    top, split = max(v for _, v in vals), len(b.rules0)
-    for idx in b.leaving.get(state, ()):
-        rule, bit = b.rules[idx], int(idx >= split)
-        if top + bit > coord_cap or (rule_filter is not None and not rule_filter(rule)):
-            continue
-        advanced = _clock_step(rule, n, vals, bit)
-        if advanced is not None:
-            yield (idx, bit), rule.dst, advanced
-
-
 def zero_one_reach_configs(
     b: ZeroOnePTA,
     n: int,
@@ -425,28 +401,39 @@ def zero_one_reach_configs(
     """
     if valuation_pred is not None and not valuation_pred(start.as_dict()):
         return set()
+    split = len(b.rules0)  # the first time-1 index
 
     def successors(node):
-        for _, dst, vals in zero_one_successors(b, n, node, coord_cap, rule_filter):
-            if valuation_pred is None or valuation_pred(vals):
-                yield dst, tuple(sorted(vals.items()))
+        state, vals = node
+        top = max(v for _, v in vals)
+        for idx in b.leaving.get(state, ()):
+            rule, bit = b.rules[idx], int(idx >= split)
+            if top + bit > coord_cap or (rule_filter is not None and not rule_filter(rule)):
+                continue
+            advanced = _clock_step(rule, n, vals, bit)
+            if advanced is not None and (valuation_pred is None or valuation_pred(advanced)):
+                yield rule.dst, tuple(sorted(advanced.items()))
 
     return reachable([(start.state, start.valuation)], successors)
 
 
-def _specialise(row: tuple, src: int, q: int, n: int, lo: int, hi: int) -> list:
-    """A step-table row at parameter n and counter window [lo, hi], on keys.
+def _specialise(poca: POCA, state: str, q: int, n: int, lo: int, hi: int) -> list:
+    """The rules leaving state at parameter n and counter window [lo, hi], on keys.
 
-    A node state(z) is the key (z - lo) * q + id(state), q = |Q|.  Each
-    entry becomes (rule index, key shift, key_lo, key_hi, modulus): from
-    key, the rule reaches key + shift exactly when key_lo <= key <= key_hi
-    and, for a nonzero modulus, (key - key_lo) % modulus == 0.  The window
-    check on the counter after the step is folded into key_lo and key_hi;
-    entries that no counter passes are dropped.
+    A node state(z) is the key (z - lo) * q + numbering[state], q = |Q|.
+    Each rule in ``leaving`` order becomes (rule index, key shift, key_lo,
+    key_hi, modulus): from key, the rule reaches key + shift exactly when
+    key_lo <= key <= key_hi and, for a nonzero modulus, (key - key_lo) %
+    modulus == 0.  The window check on the counter after the step is folded
+    into key_lo and key_hi; rules that no counter passes are dropped.
     """
+    rules, ids = poca.rules, poca.numbering
+    src = ids[state]
     width = hi - lo
     out = []
-    for idx, dst, op in row:
+    for idx in poca.leaving.get(state, ()):
+        rule = rules[idx]
+        op = rule.op
         kind = type(op)
         delta = modulus = 0
         if kind is AddConst or kind is AddParam:
@@ -462,29 +449,26 @@ def _specialise(row: tuple, src: int, q: int, n: int, lo: int, hi: int) -> list:
         else:
             raise ValueError(f"unknown counter operation: {op!r}")
         if u_lo <= u_hi:
-            out.append((idx, delta * q + dst - src, u_lo * q + src, u_hi * q + src, modulus))
+            shift = delta * q + ids[rule.dst] - src
+            out.append((idx, shift, u_lo * q + src, u_hi * q + src, modulus))
     return out
 
 
 def _counter_successors(poca: POCA, n: int, lo: int, hi: int):
-    """successors(key) over the POCA's step table at n in the window [lo, hi].
+    """successors(key) over the POCA's rules at n in the window [lo, hi].
 
-    Yields (rule index, next key) in rule order; each visited state's row is
-    specialised once per call, when the search first expands that state.
+    Yields (rule index, next key) in rule order; each visited state's rules
+    are specialised once per call, when the search first expands that state.
     """
-    table = poca.step_table
-    q = len(table.states)
-    rows = table.rows
+    states = poca._numbered
+    q = len(states)
     specialised = {}
 
     def successors(key):
         src = key % q
         row = specialised.get(src)
         if row is None:
-            row = rows[src]
-            if row is None:
-                row = table.row(src)
-            row = specialised[src] = _specialise(row, src, q, n, lo, hi)
+            row = specialised[src] = _specialise(poca, states[src], q, n, lo, hi)
         for idx, shift, key_lo, key_hi, modulus in row:
             if key_lo <= key <= key_hi and (not modulus or not (key - key_lo) % modulus):
                 yield idx, key + shift
@@ -498,18 +482,20 @@ def poca_reach_bounded(poca: POCA, n: int, lo: int, hi: int) -> Optional[Run]:
     Accepting means: starts at initial(0), ends in a final state.  No
     counter-zero normalization is imposed here.
 
-    The search runs on the kernel over integer keys (z - lo) * |Q| + id,
-    the states numbered by ``POCA.step_table``, with each visited state's
-    row specialised to n, lo and hi (``_specialise``).  Keys are one-to-one
-    with the configurations of the window and a row keeps rule order, so
-    the breadth-first order, and with it every witness, is that of a search
-    over (state, counter) pairs that tries the rules in order.  The labels
-    found are replayed into the returned run.
+    The search runs on the kernel over integer keys (z - lo) * |Q| +
+    number, the states numbered by ``POCA.numbering``, with the rules
+    leaving each visited state specialised to n, lo and hi
+    (``_specialise``).  Keys are one-to-one with the configurations of the
+    window and rules keep their order, so the breadth-first order, and with
+    it every witness, is that of a search over (state, counter) pairs that
+    tries the rules in order.  The labels found are replayed into the
+    returned run.
     """
     if not lo <= 0 <= hi:
         raise ValueError("window must satisfy lo <= 0 <= hi")
-    q = len(poca.step_table.states)
-    finals = poca.step_table.finals
+    ids = poca.numbering
+    q = len(ids)
+    finals = {ids[s] for s in poca.finals}
     successors = _counter_successors(poca, n, lo, hi)
     found = shortest_path(-lo * q, successors, lambda key: key % q in finals)
     return None if found is None else _replay(poca, n, initial_configuration(poca), found[1])

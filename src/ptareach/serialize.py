@@ -4,9 +4,11 @@ Canonical form: object keys in the order written below, states/clocks/params
 sorted, rules in the order of the automaton's ``rules`` tuple (time-0 rules
 first for 0/1-PTAs), so the rule indices in witness labels survive a round
 trip.  The parser rejects a 0/1-PTA that lists a time-0 rule after a time-1
-rule, unknown comparison symbols and unknown operation kinds, a name set
-that is not a JSON list, a bool or a float where an integer is due, and a
-missing key, naming the key and the object it is missing from.
+rule, unknown comparison symbols and unknown operation kinds, a name set,
+rule list or step list that is not a JSON list, a run step whose label is
+missing (every step but the last) or present (the last), a bool or a float
+where an integer is due, and a missing key, naming the key and the object
+it is missing from.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
-def _name_set(value, what: str) -> frozenset:
-    """A JSON list of names; a string would otherwise read as its letters."""
+def _list(value, what: str) -> list:
+    """value, which must be a JSON list: a name set given as a string would
+    otherwise read as its letters, and a number would not iterate."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON list, not {type(value).__name__}")
-    return frozenset(value)
+    return value
 
 
 def guard_to_obj(g: Guard) -> dict:
@@ -156,18 +159,18 @@ def automaton_from_obj(obj: dict) -> Automaton:
         raise ValueError(f"unknown automaton kind: {kind!r}")
 
     def names(key):
-        return _name_set(_field(obj, key, "automaton"), f"automaton {key!r}")
+        return frozenset(_list(_field(obj, key, "automaton"), f"automaton {key!r}"))
 
     # A PTA rule reads as a 0/1 rule with time 0; only a 0/1-PTA keeps rules1.
     rules0, rules1 = [], []
-    for i, r in enumerate(_field(obj, "rules", "automaton")):
+    for i, r in enumerate(_list(_field(obj, "rules", "automaton"), "automaton 'rules'")):
         what = f"rule {i}"
         src, dst = _field(r, "from", what), _field(r, "to", what)
         if kind == "poca":
             rules0.append(PocaRule(src, op_from_obj(_field(r, "op", what)), dst))
             continue
         guard = guard_from_obj(_field(r, "guard", what))
-        resets = _name_set(r.get("resets", []), f"{what} 'resets'")
+        resets = frozenset(_list(r.get("resets", []), f"{what} 'resets'"))
         rule = PtaRule(src, guard, resets, dst)
         time = _int_field(r, "time", what) if kind == "zero-one-pta" else 0
         if time not in (0, 1):
@@ -225,8 +228,9 @@ def run_from_obj(obj: dict) -> Run:
         raise ValueError(f"unknown run kind: {kind!r}")
     # A PTA label is (rule, delay) and a 0/1-PTA label (rule, time).
     second = {"pta": "delay", "zero-one-pta": "time"}.get(kind)
+    steps = _list(_field(obj, "steps", "run"), "run 'steps'")
     configs, labels = [], []
-    for i, entry in enumerate(_field(obj, "steps", "run")):
+    for i, entry in enumerate(steps):
         what = f"run step {i}"
         state = _field(entry, "state", what)
         if kind == "poca":
@@ -235,7 +239,12 @@ def run_from_obj(obj: dict) -> Run:
             clocks = _object(_field(entry, "valuation", what), f"{what} 'valuation'")
             valuation = {c: _int_field(clocks, c, f"{what} valuation") for c in clocks}
             configs.append(PtaConfiguration.make(state, valuation))
+        # The label of step i is the step to configuration i + 1.
         label = entry.get("label")
+        if label is None and i < len(steps) - 1:
+            raise ValueError(f"{what} has no label; every step but the last needs one")
+        if label is not None and i == len(steps) - 1:
+            raise ValueError(f"{what} is the last step and must have no label")
         if label is not None:
             rule = _int_field(label, "rule", f"{what} label")
             if second is not None:

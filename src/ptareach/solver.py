@@ -180,11 +180,12 @@ def find_bound_violation(poca, n: int, bound: int, slack: int) -> Optional[tuple
     Explores configurations within [-slack, bound + slack] with a flag
     recording whether the path so far left [0, bound]; returns a violating
     accepting configuration if one exists in that window.  Nodes are the
-    counter search's keys (z + slack) * |Q| + id, plus ``flag`` once flagged.
+    counter search's keys (z + slack) * |Q| + number, plus ``flag`` once flagged.
     """
     lo, hi = -slack, bound + slack
-    table = poca.step_table
-    q = len(table.states)
+    ids = poca.numbering
+    q = len(ids)
+    finals = {ids[s] for s in poca.finals}
     steps = _counter_successors(poca, n, lo, hi)
     inside_lo, inside_hi = slack * q, (slack + bound + 1) * q  # the keys with 0 <= z <= bound
     flag = (hi - lo + 1) * q
@@ -197,8 +198,8 @@ def find_bound_violation(poca, n: int, bound: int, slack: int) -> Optional[tuple
             for _, nxt in steps(key):
                 yield None, nxt if inside_lo <= nxt < inside_hi else nxt + flag
 
-    found = shortest_path(-lo * q, successors, lambda key: key >= flag and key % q in table.finals)
+    found = shortest_path(-lo * q, successors, lambda key: key >= flag and key % q in finals)
     if found is None:
         return None
     u, state = divmod(found[0] - flag, q)
-    return table.states[state], u + lo
+    return poca._numbered[state], u + lo

@@ -273,12 +273,14 @@ def test_leaving_groups_every_rule_index_by_source():
                 assert all(a.rules[i].src == state for i in idxs)
 
 
-def test_step_table_reads_the_source_index():
+def test_numbering_follows_the_source_index():
     for _, _, poca in _indexed_automata():
-        table = poca.step_table
-        assert len(table.leaving) == len(poca.leaving)
-        for i, idxs in enumerate(table.leaving):
-            assert idxs == poca.leaving[table.states[i]]
+        ids = poca.numbering
+        assert ids is poca.numbering
+        # The states rules leave, in ``leaving``'s order, then the others sorted.
+        sources = list(poca.leaving)
+        assert list(ids) == sources + sorted(poca.states - set(sources))
+        assert list(ids.values()) == list(range(len(poca.states)))
 
 
 def test_consts_computed_once_per_automaton():

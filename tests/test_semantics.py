@@ -472,11 +472,11 @@ def _reference_bound_violation(poca, n, bound, slack):
 def _successors(poca, n, lo, hi, state, z):
     """The counter search's steps from state(z), each key decoded to
     (rule index, target state, counter after the step)."""
-    table = poca.step_table
-    q = len(table.states)
-    for idx, nxt in semantics._counter_successors(poca, n, lo, hi)((z - lo) * q + table.ids[state]):
+    ids = poca.numbering
+    states, q = [*ids], len(ids)
+    for idx, nxt in semantics._counter_successors(poca, n, lo, hi)((z - lo) * q + ids[state]):
         u, dst = divmod(nxt, q)
-        yield idx, table.states[dst], u + lo
+        yield idx, states[dst], u + lo
 
 
 def _reference_run(poca, n, lo, hi):
@@ -580,17 +580,20 @@ class TestSourceIndex:
         rng = random.Random(17)
         for _ in range(25):
             c = _random_poca(rng)
-            table = c.step_table
+            ids = c.numbering
             # The initial state is 0, then the states rules leave in the order
             # the rules first leave them, then the others sorted.
             sources = list(dict.fromkeys([c.initial] + [rule.src for rule in c.rules]))
-            assert table.states == (*sources, *sorted(c.states - set(sources)))
-            assert table.ids == {s: i for i, s in enumerate(table.states)}
-            assert table.finals == {table.ids[s] for s in c.finals}
-            by_src = _rules_by_src(c)
-            for i, s in enumerate(table.states):
-                expected = [(j, table.ids[rule.dst], rule.op) for j, rule in by_src.get(s, ())]
-                assert list(table.row(i)) == expected and table.rows[i] is table.row(i)
+            assert list(ids) == [*sources, *sorted(c.states - set(sources))]
+            assert list(ids.values()) == list(range(len(c.states)))
+            by_src, q = _rules_by_src(c), len(ids)
+            for s in c.states:
+                # In a window this wide no rule is dropped, and each shifts a
+                # key of s to a key of its target.
+                row = semantics._specialise(c, s, q, 2, -9, 9)
+                assert [idx for idx, *_ in row] == [j for j, _ in by_src.get(s, ())]
+                for idx, shift, *_ in row:
+                    assert (ids[s] + shift) % q == ids[c.rules[idx].dst]
 
     def test_built_once_over_a_sweep(self):
         built = build_poca(to_zero_one_pta(fixture_by_name("even").pta)).poca
@@ -773,11 +776,19 @@ class TestGuardWindow:
     @staticmethod
     def _per_rule_zero_one_oracle(b, n, cap):
         """The 0/1 oracle as it stood before it shared the PTA oracle's rows:
-        every rule per node through zero_one_successors, then saturation."""
+        every rule per node, in rule order, through the exact stepper with
+        its time bit, then saturation."""
+        step = semantics._label_step(b, n)
 
         def successors(node):
-            for label, dst, vals in semantics.zero_one_successors(b, n, node, cap + 1):
-                yield label, (dst, tuple(sorted((c, min(v, cap)) for c, v in vals.items())))
+            state, vals = node
+            for idx, rule in enumerate(b.rules):
+                if rule.src != state:
+                    continue
+                label = (idx, int(idx >= len(b.rules0)))
+                nxt = step(PtaConfiguration(state, vals), label)
+                if nxt is not None:
+                    yield label, (nxt.state, tuple((c, min(v, cap)) for c, v in nxt.valuation))
 
         start = PtaConfiguration.make(b.initial, {c: 0 for c in b.clocks})
         found = shortest_path(

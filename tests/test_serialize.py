@@ -108,6 +108,11 @@ def test_unknown_kind_and_cmp_rejected():
             serialize.automaton_from_obj({**even, "rules": [rule_obj]})
     with pytest.raises(ValueError, match="automaton must be a JSON object"):
         serialize.automaton_from_obj([even])
+    # A rule list or step list that is not a JSON list is named too.
+    with pytest.raises(ValueError, match="automaton 'rules' must be a JSON list, not int"):
+        serialize.automaton_from_obj({**even, "rules": 5})
+    with pytest.raises(ValueError, match="run 'steps' must be a JSON list, not int"):
+        serialize.run_from_obj({"kind": "poca", "steps": 5})
     run = serialize.run_to_obj(poca_reach_bounded(poca_mod6_fixture(), 5, -10, 40))
     del run["steps"][1]["counter"]
     with pytest.raises(ValueError, match="run step 1 has no 'counter' key"):
@@ -204,6 +209,22 @@ def test_run_round_trips():
     assert run is not None
     again = serialize.run_from_obj(json.loads(json.dumps(serialize.run_to_obj(run))))
     assert again == run
+
+
+def test_run_labels_are_positional():
+    # Step i's label is the step to configuration i + 1: every step but the
+    # last has one and the last has none, so no label can shift onto another step.
+    a = {"state": "a", "counter": 0}
+    b = {"state": "b", "counter": 1}
+    for steps, message in (
+        ([{**a, "label": None}, {**b, "label": {"rule": 0}}], "run step 0 has no label"),
+        ([a, {**b, "label": {"rule": 0}}], "run step 0 has no label"),
+        ([{**a, "label": {"rule": 0}}, {**b, "label": {"rule": 0}}],
+         "run step 1 is the last step and must have no label"),
+        ([{**a, "label": {"rule": 0}}], "run step 0 is the last step"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            serialize.run_from_obj({"kind": "poca", "steps": steps})
 
 
 def _json_round_trip(run):
