@@ -285,17 +285,17 @@ class _Emitter:
 
 
 class _RegionTables(dict):
-    """Per region: the 0/1 rules it enables, and its AP memo.
+    """Per region: the 0/1 rules it enables, and its lazy AP tables.
 
     A region's table is built the first time the region is looked up, in one
     pass over the 0/1 rules that checks each distinct guard against the
     region once.  It lists the enabled resetting rules0 ("resets") and the
     enabled rules1 ("times"), each as (index, rule), and the epsilon graph
     of the enabled reset-free rules0 ("eps").  The region automaton, its OCA
-    and the OCA's letter graph are built on the region's first AP-memo miss.
-    Every later ``reach_lengths`` call on the region shares that graph, and
-    with it the walks from each source, searched on the source's first call:
-    the other targets of that source only read them off.  A build looks up
+    and the OCA's letter graph are built on the region's first AP ask.
+    Every ``reach_lengths`` call on the region shares that graph, and with
+    it the reach table of each source, built on the source's first call for
+    all its targets at once: later asks only read it.  A build looks up
     about half of the sixteen regions and asks AP tables of about three.
     """
 
@@ -316,20 +316,16 @@ class _RegionTables(dict):
             "resets": [(i, r) for i, r in enumerate(b.rules0) if r.resets and holds[r.guard]],
             "eps": eps,
             "times": [(i, r) for i, r in enumerate(b.rules1) if holds[r.guard]],
-            "gens": {},
         }
         return table
 
     def gens(self, region, u, v) -> tuple:
         """The dwell progressions from u to v inside the region."""
         table = self[region]
-        memo = table["gens"]
-        if (u, v) not in memo:
-            if "oca" not in table:
-                table["oca"] = region_oca(region_automaton(self.b, region))
-                table["letters"] = letter_graph(table["oca"])
-            memo[u, v] = reach_lengths(table["oca"], u, v, table["letters"]).pairs
-        return memo[u, v]
+        if "oca" not in table:
+            table["oca"] = region_oca(region_automaton(self.b, region))
+            table["letters"] = letter_graph(table["oca"])
+        return reach_lengths(table["oca"], u, v, table["letters"]).pairs
 
 
 # ---------------------------------------------------------------------------

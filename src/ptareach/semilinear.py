@@ -4,15 +4,16 @@ A one-counter automaton with only +0/+1 updates is a unary NFA: +1 rules are
 letters, +0 rules epsilon moves.  The counter values reachable at a target
 from source(0) are the weights of the letter walks from the source to a
 state whose epsilon closure holds the target: a finite union of arithmetic
-progressions a + b*N.  Those walks stay in the source's forward set, so they
-are searched once per source and every target is read off the result.  The
-periods are the shortest cycle lengths b_s of the cyclic states s.  For each
-period b, one breadth-first search over (state, weight mod b, passed an s
-with b_s = b) gives per state and residue the least weight d of a walk that
+progressions a + b*N.  Those walks stay in the source's forward set, so on
+the source's first ask they are searched once and their pairs go to every
+target at once: the letter graph keeps one table per source.  The periods
+are the shortest cycle lengths b_s of the cyclic states s.  For each period
+b, one breadth-first search over (state, weight mod b, passed an s with
+b_s = b) gives per state and residue the least weight d of a walk that
 passes such an s; pumping the cycle at s gives d + b*N, and a walk of weight
 w that passes a cyclic s lies in the progression of d <= w at w mod b_s.  A
-walk that passes no cyclic state repeats none, so a layered search over the
-non-cyclic states gives the other weights as singletons and stops by itself.
+walk that passes no cyclic state repeats none, so a search over (non-cyclic
+state, weight) gives the other weights as singletons and stops by itself.
 Minimal offsets stay below 2|Q|^2 because a longer minimal witness would
 contain an excisable cycle-multiple on one side of its s-visit.
 """
@@ -102,41 +103,18 @@ def apset_member(s: APSet, t: int) -> bool:
 
 @dataclass(eq=False)
 class LetterGraph:
-    """A +0/+1 automaton's letter graph and its walk tables per source.
+    """A +0/+1 automaton's letter graph and its reach table per source.
 
     succ[s]: the states one +1 rule reaches after any +0 rules; eps_reach[s]:
     the states +0 rules alone reach (s included); cycle_len[s]: the length of
-    the shortest letter-cycle through s (absent if none); walks: walks_from's memo.
+    the shortest letter-cycle through s (absent if none); tables: reach_lengths'
+    memo, source -> target -> normalized pairs, with no empty entry.
     """
 
     succ: dict
     eps_reach: dict
     cycle_len: dict
-    walks: dict = field(default_factory=dict, init=False)
-
-    def walks_from(self, source) -> dict:
-        """Per state u of the source's forward set, the pairs its walks to u give.
-
-        (t, 0) for the weight t of each walk to u through no cyclic state;
-        per period b of the forward set and residue mod b, (d, b) with d the
-        least such weight of a walk to u that passes a state s with b_s = b.
-        """
-        if source not in self.walks:
-            succ, cycle_len = self.succ, self.cycle_len
-            ends = self.walks[source] = {}
-            layer, t = {source} - cycle_len.keys(), 0
-            while layer:
-                for u in layer:
-                    ends.setdefault(u, []).append((t, 0))
-                layer, t = {v for u in layer for v in succ[u] if v not in cycle_len}, t + 1
-            periods = {}
-            for s in reachable([source], succ.__getitem__) & cycle_len.keys():
-                periods.setdefault(cycle_len[s], set()).add(s)
-            for b, marked in periods.items():
-                for (u, _, passed), d in _min_weight_per_residue(succ, source, b, marked).items():
-                    if passed:
-                        ends.setdefault(u, []).append((d, b))
-        return self.walks[source]
+    tables: dict = field(default_factory=dict, init=False)
 
 
 def letter_graph(oca: POCA) -> LetterGraph:
@@ -192,6 +170,33 @@ def _min_weight_per_residue(edges, source, modulus, marked) -> dict:
     return dist
 
 
+def _reach_table(graph: LetterGraph, source) -> dict:
+    """Target -> normalized pairs of every target the source reaches.
+
+    A walked state u gives (t, 0) for the weight t of each walk to u through
+    no cyclic state and, per period b of the forward set and residue mod b,
+    (d, b) with d the least such weight of a walk to u that passes a state s
+    with b_s = b; its pairs go to every state of its epsilon closure.
+    """
+    succ, cycle_len = graph.succ, graph.cycle_len
+    step = lambda node: ((v, node[1] + 1) for v in succ[node[0]] if v not in cycle_len)
+    ends = {}
+    for u, t in reachable([(source, 0)], step) if source not in cycle_len else ():
+        ends.setdefault(u, []).append((t, 0))
+    periods = {}
+    for s in reachable([source], succ.__getitem__) & cycle_len.keys():
+        periods.setdefault(cycle_len[s], set()).add(s)
+    for b, marked in periods.items():
+        for (u, _, passed), d in _min_weight_per_residue(succ, source, b, marked).items():
+            if passed:
+                ends.setdefault(u, []).append((d, b))
+    by_target = {}
+    for u, pairs in ends.items():
+        for v in graph.eps_reach[u]:
+            by_target.setdefault(v, []).extend(pairs)
+    return {v: _normalize(pairs) for v, pairs in by_target.items()}
+
+
 def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     """The set {n : source(0) reaches target(n)} as a normalized APSet.
 
@@ -199,20 +204,17 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     Enforced caps relative to n = |Q|: offsets <= 2n^2, periods <= n, and at
     most 4n^2 progressions; exceeding them raises CapViolation.  ``graph`` is
     ``letter_graph(oca)``, computed here when omitted; callers asking about
-    many pairs of one automaton pass it, so that each source's walks are
-    searched once and each target takes their union over the states whose
-    epsilon closure holds it.
+    many pairs of one automaton pass it, so that each source's table is built
+    once and every later ask only reads it.
     """
     if oca.params:
         raise ValueError("reach_lengths expects a parameter-free automaton")
     if source not in oca.states or target not in oca.states:
         raise ValueError("source/target must be declared states")
     graph = letter_graph(oca) if graph is None else graph
-    pairs = []
-    for u, found in graph.walks_from(source).items():
-        if target in graph.eps_reach[u]:
-            pairs.extend(found)
-    result = APSet.from_pairs(pairs)
+    if source not in graph.tables:
+        graph.tables[source] = _reach_table(graph, source)
+    result = APSet(graph.tables[source].get(target, ()))
     _enforce_caps(result, len(oca.states))
     return result
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ptareach import poca_build, semilinear
 from ptareach.automata import POCA, AddConst, AddParam, PocaRule
-from ptareach.fixtures import crt_pta, random_unary_oca
+from ptareach.fixtures import crt_pta, random_two_one_pta, random_unary_oca
+from ptareach.regions import Region, region_automaton, region_oca
 from ptareach.semilinear import (
     APSet,
     _min_weight_per_residue,
@@ -389,3 +390,47 @@ def test_crt_build_searches_each_graph_and_source_once(monkeypatch):
     assert len(graphs) == len(ocas) > 0
     keys = [(id(edges), source, modulus) for edges, source, modulus in searches]
     assert keys and len(set(keys)) == len(keys)
+
+
+def test_shared_graph_normalizes_each_pair_at_most_once(monkeypatch):
+    # The first ask about a source builds its table for every target at once;
+    # asking every (source, target) again only reads it.
+    rng = random.Random(4242)
+    ocas = [random_unary_oca(rng, max_states=8) for _ in range(12)]
+    calls = []
+    monkeypatch.setattr(
+        semilinear, "_normalize", lambda pairs, _fn=_normalize: calls.append(1) or _fn(pairs)
+    )
+    asked = 0
+    for oca in ocas:
+        graph = letter_graph(oca)
+        states = sorted(oca.states)
+        pairs = [(source, target) for source in states for target in states]
+        first = [reach_lengths(oca, s, t, graph).pairs for s, t in pairs]
+        assert [reach_lengths(oca, s, t, graph).pairs for s, t in pairs] == first
+        asked += len(pairs)
+    assert 0 < len(calls) <= asked
+
+
+def test_shared_graph_answers_do_not_depend_on_ask_order():
+    # The reach tables are state on the letter graph: asking the pairs of
+    # one automaton in a shuffled order on one shared graph must give what a
+    # fresh graph per call gives.  Region OCAs of the wide draws have up to
+    # 121 states, so only a sample of their pairs is asked a fresh graph.
+    wide = random.Random(779)
+    bs = [to_zero_one_pta(random_two_one_pta(wide, max_states=6, max_const=8)) for _ in range(3)]
+    rng = random.Random(2718)
+    ocas = [random_unary_oca(rng, max_states=8) for _ in range(60)]
+    ocas += [region_oca(region_automaton(b, region)) for b in bs for region in Region]
+    nonempty = 0
+    for oca in ocas:
+        graph = letter_graph(oca)
+        states = sorted(oca.states, key=repr)
+        pairs = [(source, target) for source in states for target in states]
+        rng.shuffle(pairs)
+        shared = {(s, t): reach_lengths(oca, s, t, graph).pairs for s, t in pairs}
+        hits = [pair for pair in pairs if shared[pair]]
+        for s, t in pairs[:20] + hits[:20]:
+            assert reach_lengths(oca, s, t, letter_graph(oca)).pairs == shared[s, t], (s, t)
+        nonempty += len(hits)
+    assert nonempty > 1000
