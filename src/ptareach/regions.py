@@ -17,8 +17,6 @@ from .automata import POCA, AddConst, Guard, PocaRule, PtaRule, ZeroOnePTA, cmp_
 # Coordinate classes (per axis)
 ZERO, MID, AT_N, HIGH = range(4)
 
-_CLASS_NAMES = {ZERO: "0", MID: "mid", AT_N: "N", HIGH: "high"}
-
 
 class Region(enum.Enum):
     """One of the sixteen equivalence classes, keyed by (x-class, y-class)."""

@@ -108,7 +108,7 @@ class LetterGraph:
     succ[s]: the states one +1 rule reaches after any +0 rules; eps_reach[s]:
     the states +0 rules alone reach (s included); cycle_len[s]: the length of
     the shortest letter-cycle through s (absent if none); tables: reach_lengths'
-    memo, source -> target -> normalized pairs, with no empty entry.
+    memo, source -> target -> APSet within the caps, with no empty entry.
     """
 
     succ: dict
@@ -171,7 +171,8 @@ def _min_weight_per_residue(edges, source, modulus, marked) -> dict:
 
 
 def _reach_table(graph: LetterGraph, source) -> dict:
-    """Target -> normalized pairs of every target the source reaches.
+    """Target -> APSet of every target the source reaches, each checked
+    against the caps (see reach_lengths) once, here.
 
     A walked state u gives (t, 0) for the weight t of each walk to u through
     no cyclic state and, per period b of the forward set and residue mod b,
@@ -194,7 +195,13 @@ def _reach_table(graph: LetterGraph, source) -> dict:
     for u, pairs in ends.items():
         for v in graph.eps_reach[u]:
             by_target.setdefault(v, []).extend(pairs)
-    return {v: _normalize(pairs) for v, pairs in by_target.items()}
+    table = {v: APSet(_normalize(pairs)) for v, pairs in by_target.items()}
+    for reached in table.values():
+        _enforce_caps(reached, len(succ))
+    return table
+
+
+_EMPTY = APSet(())
 
 
 def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
@@ -205,7 +212,8 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     most 4n^2 progressions; exceeding them raises CapViolation.  ``graph`` is
     ``letter_graph(oca)``, computed here when omitted; callers asking about
     many pairs of one automaton pass it, so that each source's table is built
-    once and every later ask only reads it.
+    and checked once and every later ask only reads it.  A cap violation
+    fails every ask about its source.
     """
     if oca.params:
         raise ValueError("reach_lengths expects a parameter-free automaton")
@@ -214,9 +222,7 @@ def reach_lengths(oca: POCA, source: str, target: str, graph=None) -> APSet:
     graph = letter_graph(oca) if graph is None else graph
     if source not in graph.tables:
         graph.tables[source] = _reach_table(graph, source)
-    result = APSet(graph.tables[source].get(target, ()))
-    _enforce_caps(result, len(oca.states))
-    return result
+    return graph.tables[source].get(target, _EMPTY)
 
 
 def _enforce_caps(s: APSet, n: int) -> None:

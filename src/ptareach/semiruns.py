@@ -390,42 +390,35 @@ def is_embedding(sigma: Semirun, pi: Semirun, level: int) -> Optional[Embedding]
     order-preserving injective position map psi with equal rule labels at
     mapped transitions and equal orientation relative to the level at every
     mapped position.  Returns the leftmost mapping, or None.
+
+    One left-to-right scan finds it: position i of sigma takes the first
+    position of pi after psi(i - 1) whose counter has sigma's orientation and,
+    for i < len(sigma), whose transition carries sigma's rule i.  By induction
+    on i, any embedding maps i at or after the scan's choice: its image of i
+    lies after its image of i - 1, so after the scan's choice for i - 1, and
+    passes the same tests.  So the scan fails only where no embedding exists,
+    and otherwise returns the least position at every i, which is the map a
+    table over (i, position) rebuilds by taking at every i the least position
+    it can reach.
     """
     if sigma.poca is not pi.poca and sigma.poca != pi.poca:
         return None
     n_len, m_len = len(sigma), len(pi)
     if sigma.state(0) != pi.state(0) or sigma.state(n_len) != pi.state(m_len):
         return None
-
-    def orient_ok(i: int, j: int) -> bool:
-        return _orient(sigma.counter(i), level) == _orient(pi.counter(j), level)
-
-    # parent[i][j]: predecessor position of pi for psi(i) = j, or -2 if none.
-    parent = [[-2] * (m_len + 1) for _ in range(n_len + 1)]
-    for j in range(m_len + 1):
-        if orient_ok(0, j):
-            parent[0][j] = -1
-    for i in range(n_len):
-        ri = sigma.rules[i]
-        sigma_rule = sigma.poca.rules[ri]
-        best = -2
-        for j2 in range(m_len + 1):
-            # best = some j < j2 with parent[i][j] set and matching rule j.
-            j = j2 - 1
-            if j >= 0 and parent[i][j] != -2 and pi.poca.rules[pi.rules[j]] == sigma_rule:
-                if best == -2:
-                    best = j
-            if best != -2 and orient_ok(i + 1, j2):
-                if parent[i + 1][j2] == -2:
-                    parent[i + 1][j2] = best
-    ends = [j for j in range(m_len + 1) if parent[n_len][j] != -2]
-    if not ends:
-        return None
-    mapping = [0] * (n_len + 1)
-    j = ends[0]
-    for i in range(n_len, -1, -1):
-        mapping[i] = j
-        j = parent[i][j]
+    mapping, j = [], 0
+    for i in range(n_len + 1):
+        side = _orient(sigma.counter(i), level)
+        rule = sigma.poca.rules[sigma.rules[i]] if i < n_len else None
+        while j <= m_len and not (
+            _orient(pi.counter(j), level) == side
+            and (rule is None or j < m_len and pi.poca.rules[pi.rules[j]] == rule)
+        ):
+            j += 1
+        if j > m_len:
+            return None
+        mapping.append(j)
+        j += 1
     return Embedding(
         mapping=tuple(mapping),
         min_rising=sigma.minimum() >= pi.minimum(),

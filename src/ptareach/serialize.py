@@ -187,8 +187,8 @@ def automaton_from_obj(obj: dict) -> Automaton:
     return ZeroOnePTA(*declared, tuple(rules0), tuple(rules1), *end)
 
 
-def dumps(a: Automaton, indent=2) -> str:
-    return json.dumps(automaton_to_obj(a), indent=indent)
+def dumps(a: Automaton) -> str:
+    return json.dumps(automaton_to_obj(a), indent=2)
 
 
 def loads(text: str) -> Automaton:

@@ -15,6 +15,7 @@ from ptareach.fixtures import crt_pta, random_two_one_pta, random_unary_oca
 from ptareach.regions import Region, region_automaton, region_oca
 from ptareach.semilinear import (
     APSet,
+    CapViolation,
     _min_weight_per_residue,
     _normalize,
     _shortest_cycle_lengths,
@@ -392,24 +393,52 @@ def test_crt_build_searches_each_graph_and_source_once(monkeypatch):
     assert keys and len(set(keys)) == len(keys)
 
 
-def test_shared_graph_normalizes_each_pair_at_most_once(monkeypatch):
-    # The first ask about a source builds its table for every target at once;
-    # asking every (source, target) again only reads it.
+def _ask_every_pair_twice() -> int:
+    """Ask every (source, target) of a few small draws twice on one shared
+    graph per draw; returns the number of distinct pairs asked."""
     rng = random.Random(4242)
-    ocas = [random_unary_oca(rng, max_states=8) for _ in range(12)]
-    calls = []
-    monkeypatch.setattr(
-        semilinear, "_normalize", lambda pairs, _fn=_normalize: calls.append(1) or _fn(pairs)
-    )
     asked = 0
-    for oca in ocas:
+    for oca in [random_unary_oca(rng, max_states=8) for _ in range(12)]:
         graph = letter_graph(oca)
         states = sorted(oca.states)
         pairs = [(source, target) for source in states for target in states]
         first = [reach_lengths(oca, s, t, graph).pairs for s, t in pairs]
         assert [reach_lengths(oca, s, t, graph).pairs for s, t in pairs] == first
         asked += len(pairs)
+    return asked
+
+
+def test_shared_graph_normalizes_each_pair_at_most_once(monkeypatch):
+    # The first ask about a source builds its table for every target at once;
+    # asking every (source, target) again only reads it.
+    calls = []
+    monkeypatch.setattr(
+        semilinear, "_normalize", lambda pairs, _fn=_normalize: calls.append(1) or _fn(pairs)
+    )
+    asked = _ask_every_pair_twice()
     assert 0 < len(calls) <= asked
+
+
+def test_shared_graph_checks_the_caps_of_each_pair_at_most_once(monkeypatch):
+    # The caps are checked when a source's table is built, not on every ask.
+    calls = []
+    check = semilinear._enforce_caps
+    monkeypatch.setattr(semilinear, "_enforce_caps", lambda s, n: calls.append(1) or check(s, n))
+    asked = _ask_every_pair_twice()
+    assert 0 < len(calls) <= asked
+
+
+def test_over_cap_pairs_raise_on_every_ask_about_their_source(monkeypatch):
+    # Offset 9 exceeds 2 * |Q|^2 = 8.  The violation is found when the
+    # source's table is built, so it fails asks about every target of that
+    # source, and a failed table is not kept.
+    c = _oca([PocaRule("q", AddConst(1), "q"), PocaRule("q", AddConst(0), "r")], {"q", "r"}, "q")
+    monkeypatch.setattr(semilinear, "_normalize", lambda pairs: tuple(sorted(set(pairs))) + ((9, 0),))
+    graph = letter_graph(c)
+    for target in ("r", "q", "r"):
+        with pytest.raises(CapViolation, match="offset 9 exceeds"):
+            reach_lengths(c, "q", target, graph)
+    assert graph.tables == {}
 
 
 def test_shared_graph_answers_do_not_depend_on_ask_order():

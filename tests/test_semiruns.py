@@ -18,8 +18,10 @@ from ptareach.fixtures import random_semirun, random_walk_machine
 from ptareach.semantics import PocaConfiguration
 from ptareach.semiruns import (
     DepumpError,
+    Embedding,
     Semirun,
     SemirunError,
+    _orient,
     bracket_preconditions,
     classify_hill_valley,
     depump,
@@ -484,6 +486,69 @@ class TestEmbedding:
         joined_host = Semirun(m, 0, host1.configs + host2.configs[1:], host1.rules + host2.rules)
         joined = Semirun(m, 0, part1.configs + part2.configs[1:], part1.rules + part2.rules)
         assert is_embedding(joined, joined_host, lvl) is not None
+
+
+def _embedding_by_table(sigma, pi, level):
+    """Reference for is_embedding: fill a table over (i, position of pi) and
+    walk its parents back from the least reachable end."""
+    if sigma.poca is not pi.poca and sigma.poca != pi.poca:
+        return None
+    n_len, m_len = len(sigma), len(pi)
+    if sigma.state(0) != pi.state(0) or sigma.state(n_len) != pi.state(m_len):
+        return None
+
+    def orient_ok(i, j):
+        return _orient(sigma.counter(i), level) == _orient(pi.counter(j), level)
+
+    # parent[i][j]: predecessor position of pi for psi(i) = j, or -2 if none.
+    parent = [[-2] * (m_len + 1) for _ in range(n_len + 1)]
+    for j in range(m_len + 1):
+        if orient_ok(0, j):
+            parent[0][j] = -1
+    for i in range(n_len):
+        sigma_rule = sigma.poca.rules[sigma.rules[i]]
+        best = -2
+        for j2 in range(m_len + 1):
+            # best = the least j < j2 with parent[i][j] set and matching rule j.
+            j = j2 - 1
+            if j >= 0 and parent[i][j] != -2 and pi.poca.rules[pi.rules[j]] == sigma_rule:
+                if best == -2:
+                    best = j
+            if best != -2 and orient_ok(i + 1, j2) and parent[i + 1][j2] == -2:
+                parent[i + 1][j2] = best
+    ends = [j for j in range(m_len + 1) if parent[n_len][j] != -2]
+    if not ends:
+        return None
+    mapping = [0] * (n_len + 1)
+    j = ends[0]
+    for i in range(n_len, -1, -1):
+        mapping[i] = j
+        j = parent[i][j]
+    return Embedding(
+        mapping=tuple(mapping),
+        min_rising=sigma.minimum() >= pi.minimum(),
+        max_falling=sigma.maximum() <= pi.maximum(),
+    )
+
+
+def test_embedding_scan_matches_table_reference():
+    # Half the guests are subruns of the host, so many triples embed.
+    machine = random_walk_machine()
+    rng = random.Random(38)
+    embeddings = 0
+    for _ in range(10_000):
+        n = rng.randrange(0, 5)
+        pi = random_semirun(machine, n, rng, max_len=rng.choice([4, 12, 30]), start=rng.randrange(-4, 5))
+        if rng.random() < 0.5:
+            c = rng.randrange(len(pi) + 1)
+            sigma = pi.subrun(c, rng.randrange(c, len(pi) + 1))
+        else:
+            sigma = random_semirun(machine, n, rng, max_len=rng.choice([3, 8]), start=rng.randrange(-4, 5))
+        level = rng.randrange(-5, 6)
+        want = _embedding_by_table(sigma, pi, level)
+        assert is_embedding(sigma, pi, level) == want
+        embeddings += want is not None
+    assert embeddings >= 1_000
 
 
 class TestClosureProperties:

@@ -117,3 +117,28 @@ def test_only_automata_groups_rules_by_source():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_private_module_constant_is_read():
+    # A private module-level name, tuple targets included, that no code in
+    # the package reads is a leftover of an edit.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.endswith("__") and name not in read]
+    assert found == []
